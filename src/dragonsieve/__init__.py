@@ -12,8 +12,6 @@ from .dragons import (
 from .fractal import (
     aperiodicity_witness,
     check_self_containment,
-    check_self_containment_raw,
-    decimate,
     decimate_terms,
     odd_part_decimation_indexes,
     reconstruct_odd_part,
@@ -32,7 +30,6 @@ from .sieve import (
     SieveTable,
     format_table,
     next_candidate,
-    primes,
     read_factorization,
     run_sieve,
 )
@@ -64,8 +61,6 @@ __all__ = [
     "check_heighway_equivalence",
     "check_levy_theorem",
     "check_self_containment",
-    "check_self_containment_raw",
-    "decimate",
     "decimate_terms",
     "format_b_file",
     "format_table",
@@ -78,7 +73,6 @@ __all__ = [
     "odd_part_mod4",
     "parse_b_file",
     "path_equal",
-    "primes",
     "primes_by_trial_division",
     "read_b_file",
     "read_factorization",

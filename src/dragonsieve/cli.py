@@ -18,7 +18,7 @@ from . import verify as verify_mod
 from .bfile import format_b_file, read_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
-from .render import TurnProgram, trace, write_svg
+from .render import TurnProgram, reduce_mod, trace, write_svg
 from .sieve import format_table, read_factorization, run_sieve
 from .valuations import generate_dci, trial_division_factor
 
@@ -26,22 +26,7 @@ OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
 
 # Desk-scale defaults, overridable by flags.
 DEFAULT_SIEVE_LIMIT = 10**5
-DEFAULT_VALUATION_LIMIT = 10**6
-DEFAULT_LEVY_ITERATIONS = 10
-DEFAULT_HEIGHWAY_ITERATIONS = 16
-DEFAULT_FRACTAL_LIMIT = 10**5
-DEFAULT_MAX_PERIOD = 10**3
 DEFAULT_RENDER_LIMIT = 10**4
-
-SMALL = {
-    "sieve": 1000,
-    "valuations": 10**4,
-    "levy": 8,
-    "heighway": 10,
-    "fractal": 10**4,
-    "max_period": 100,
-    "render": 2000,
-}
 
 
 def _out_path(name: str) -> Path:
@@ -112,8 +97,8 @@ def _cmd_render(args) -> int:
             print("render: either --p or --from-file is required", file=sys.stderr)
             return 2
         terms = generate_dci(args.p, args.limit).terms
-    if args.mod:
-        terms = [t % args.mod for t in terms]
+    if args.mod is not None:
+        terms = reduce_mod(terms, args.mod)
     mapping = "categorical-mod4" if args.mapping == "mod4" else "ccw-count"
     program = TurnProgram(tuple(terms), args.angle, mapping, clockwise=args.clockwise)
     out = _out_path(args.output)
@@ -123,40 +108,21 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    small = args.small
-
-    def pick(value, default, key):
-        if value is not None:
-            return value
-        return SMALL[key] if small else default
-
-    suites: list = []
-    scope = args.scope
-    if scope in ("sieve", "all"):
-        suites.append(lambda: verify_mod.verify_sieve(
-            pick(args.limit, DEFAULT_SIEVE_LIMIT, "sieve")))
-    if scope in ("valuations", "all"):
-        suites.append(lambda: verify_mod.verify_valuations(
-            pick(args.limit, DEFAULT_VALUATION_LIMIT, "valuations")))
-    if scope in ("fractal", "all"):
-        suites.append(lambda: verify_mod.verify_fractal(
-            pick(args.limit, DEFAULT_FRACTAL_LIMIT, "fractal"),
-            pick(args.max_period, DEFAULT_MAX_PERIOD, "max_period")))
-    if scope in ("levy", "all"):
-        suites.append(lambda: verify_mod.verify_levy(
-            pick(args.iterations, DEFAULT_LEVY_ITERATIONS, "levy")))
-    if scope in ("heighway", "all"):
-        suites.append(lambda: verify_mod.verify_heighway(
-            pick(args.iterations, DEFAULT_HEIGHWAY_ITERATIONS, "heighway")))
-    if scope in ("render", "all"):
-        suites.append(lambda: verify_mod.verify_render(
-            pick(args.limit, DEFAULT_RENDER_LIMIT, "render")))
-
-    ok = True
-    for suite in suites:
-        for report in suite():
-            print(report.summary())
-            ok = ok and report.passed
+    names = verify_mod.SUITES if args.scope == "all" else (args.scope,)
+    reports = []
+    for name in names:
+        default, small = verify_mod.SUITES[name]
+        preset = small if args.small else default
+        limits = {k: preset[k] if getattr(args, k) is None else getattr(args, k)
+                  for k in preset}
+        # Looked up by name at call time, so a wrapper patched onto the module
+        # (as the benchmark's tracer does) is the one that runs.
+        reports += getattr(verify_mod, f"verify_{name}")(**limits)
+    # Every suite has run before the first line, so a rejected argument
+    # exits 2 without partial output.
+    for report in reports:
+        print(report.summary())
+    ok = all(report.passed for report in reports)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -231,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("scope", choices=(
-        "sieve", "valuations", "fractal", "levy", "heighway", "render", "all"))
+    p.add_argument("scope", choices=(*verify_mod.SUITES, "all"))
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--max-period", type=int, default=None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .reports import CheckReport, Failure
-from .valuations import ValuationSequence
 
 
 def decimate_terms(terms: Sequence[int], p: int) -> list[int]:
@@ -22,16 +21,10 @@ def decimate_terms(terms: Sequence[int], p: int) -> list[int]:
     return [terms[i] for i in range(step - 1, len(terms), step)]
 
 
-def decimate(seq: ValuationSequence) -> list[int]:
-    """Apply the decimation rule to a valuation sequence."""
-    return decimate_terms(seq.terms, seq.p)
-
-
-def check_self_containment_raw(terms: Sequence[int], p: int, count: int) -> CheckReport:
+def check_self_containment(terms: Sequence[int], p: int, count: int) -> CheckReport:
     """Compare the first ``count`` decimated terms against the originals.
 
-    Raw entry point: accepts any term list, so non-valuation negative
-    controls are testable.
+    Accepts any term list, so non-valuation negative controls are testable.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -48,13 +41,8 @@ def check_self_containment_raw(terms: Sequence[int], p: int, count: int) -> Chec
     return CheckReport("self-containment", count, failures)
 
 
-def check_self_containment(seq: ValuationSequence, count: int) -> CheckReport:
-    return check_self_containment_raw(seq.terms, seq.p, count)
-
-
-def aperiodicity_witness(seq: ValuationSequence | Sequence[int], q: int) -> int | None:
+def aperiodicity_witness(terms: Sequence[int], q: int) -> int | None:
     """Smallest 1-based i with term[i] != term[i+q], or None if the prefix is q-periodic."""
-    terms = seq.terms if isinstance(seq, ValuationSequence) else seq
     if not 1 <= q < len(terms):
         raise ValueError(f"period must be within 1..{len(terms) - 1}, got {q}")
     for i in range(len(terms) - q):

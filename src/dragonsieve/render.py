@@ -48,12 +48,10 @@ class TurnProgram:
 class PolylinePath:
     """Vertices of a traced walk; one more vertex than input terms.
 
-    ``headings`` holds each segment's heading as an integer multiple of the
-    turn unit.  ``lattice`` marks exact integer coordinates.
+    ``lattice`` marks exact integer coordinates.
     """
 
     vertices: tuple[tuple[float, float], ...]
-    headings: tuple[int, ...]
     lattice: bool
 
 
@@ -96,9 +94,7 @@ def trace(program: TurnProgram) -> PolylinePath:
     heading = 0
     x, y = (0, 0) if lattice else (0.0, 0.0)
     vertices = [(x, y)]
-    headings = []
     for term in program.terms:
-        headings.append(heading)
         if isinstance(units, dict):
             vec = units.get(heading)
             if vec is None:
@@ -110,7 +106,7 @@ def trace(program: TurnProgram) -> PolylinePath:
         heading += sign * _turn_units(term, program.mapping)
         if order is not None:
             heading %= order
-    return PolylinePath(tuple(vertices), tuple(headings), lattice)
+    return PolylinePath(tuple(vertices), lattice)
 
 
 def _unit_vector(angle: Fraction, heading: int) -> tuple[float, float]:

@@ -115,11 +115,6 @@ def run_sieve(m: int, *, literal: bool = False) -> SieveTable:
     return table
 
 
-def primes(table: SieveTable) -> list[int]:
-    """The row headers, in discovery order."""
-    return table.prime_headers
-
-
 def read_factorization(table: SieveTable, n: int) -> Factorization:
     """Factor n by reading its column: rows with a positive entry, paired with it."""
     if n < 1 or n > table.m:

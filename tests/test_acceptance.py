@@ -23,7 +23,6 @@ from dragonsieve import (
     odd_even_parts,
     odd_part_mod4,
     path_equal,
-    primes,
     primes_by_trial_division,
     read_factorization,
     run_sieve,
@@ -71,7 +70,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_prime_soundness_completeness():
     t0 = time.perf_counter()
-    got = primes(run_sieve(10**5))
+    got = run_sieve(10**5).prime_headers
     expected = primes_by_trial_division(10**5)
     assert len(expected) == 9592
     assert got == expected

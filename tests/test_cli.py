@@ -114,6 +114,18 @@ class TestRenderCommand:
         code, _, _ = run(capsys, "render", "-o", str(tmp_path / "x.svg"))
         assert code == 2
 
+    @pytest.mark.parametrize("modulus", ["0", "-3"])
+    def test_non_positive_mod_is_usage_error(self, capsys, tmp_path, modulus):
+        out_file = tmp_path / "x.svg"
+        code, out, err = run(
+            capsys, "render", "--p", "2", "--limit", "16", "--mod", modulus,
+            "-o", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out_file.exists()
+
 
 class TestVerifyCommand:
     def test_levy_scope_passes(self, capsys):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from dragonsieve import (
     aperiodicity_witness,
     check_self_containment,
-    check_self_containment_raw,
-    decimate,
     decimate_terms,
     generate_dci,
     odd_even_parts,
@@ -19,19 +17,19 @@ from dragonsieve import (
 
 class TestDecimate:
     def test_v2_48_terms(self):
-        seq = generate_dci(2, 48)
-        assert decimate(seq) == [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4]
+        terms = generate_dci(2, 48).terms
+        assert decimate_terms(terms, 2) == [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4]
 
     def test_v3_108_terms(self):
-        seq = generate_dci(3, 108)
-        assert decimate(seq)[:9] == [0, 0, 1, 0, 0, 1, 0, 0, 2]
+        terms = generate_dci(3, 108).terms
+        assert decimate_terms(terms, 3)[:9] == [0, 0, 1, 0, 0, 1, 0, 0, 2]
 
     def test_exact_p_plus_1_keeps_one_term(self):
         seq = generate_dci(5, 6)
-        assert decimate(seq) == [seq.term(6)]
+        assert decimate_terms(seq.terms, 5) == [seq.term(6)]
 
     def test_too_short_gives_empty(self):
-        assert decimate(generate_dci(5, 4)) == []
+        assert decimate_terms(generate_dci(5, 4).terms, 5) == []
 
     def test_raw_rejects_bad_base(self):
         with pytest.raises(ValueError):
@@ -40,26 +38,26 @@ class TestDecimate:
 
 class TestSelfContainment:
     def test_v2_passes(self):
-        seq = generate_dci(2, 48)
-        assert check_self_containment(seq, 16).passed
+        terms = generate_dci(2, 48).terms
+        assert check_self_containment(terms, 2, 16).passed
 
     def test_v3_passes(self):
-        seq = generate_dci(3, 108)
-        assert check_self_containment(seq, 27).passed
+        terms = generate_dci(3, 108).terms
+        assert check_self_containment(terms, 3, 27).passed
 
     def test_constant_raw_sequence_passes_trivially(self):
         # A constant sequence survives any selection; the check is about the
         # decimation identity, not about being a valuation sequence.
-        assert check_self_containment_raw([1] * 12, 2, 3).passed
+        assert check_self_containment([1] * 12, 2, 3).passed
 
     def test_increasing_raw_sequence_fails(self):
-        report = check_self_containment_raw(list(range(1, 13)), 2, 3)
+        report = check_self_containment(list(range(1, 13)), 2, 3)
         assert not report.passed
         assert report.failures[0].index == 1
 
     def test_insufficient_length_raises(self):
         with pytest.raises(ValueError):
-            check_self_containment(generate_dci(2, 10), 16)
+            check_self_containment(generate_dci(2, 10).terms, 2, 16)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_nested_levels(self, p):
@@ -83,7 +81,7 @@ class TestAperiodicityWitness:
         assert aperiodicity_witness([0] * 10, 5) is None
 
     def test_accepts_valuation_sequence(self):
-        assert aperiodicity_witness(generate_dci(3, 100), 3) is not None
+        assert aperiodicity_witness(generate_dci(3, 100).terms, 3) is not None
 
     def test_rejects_period_out_of_range(self):
         with pytest.raises(ValueError):

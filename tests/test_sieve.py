@@ -9,7 +9,6 @@ from dragonsieve import (
     format_table,
     generate_dci,
     next_candidate,
-    primes,
     primes_by_trial_division,
     read_factorization,
     run_sieve,
@@ -18,24 +17,24 @@ from dragonsieve import (
 
 class TestRunSieve:
     def test_headers_at_16(self):
-        assert primes(run_sieve(16)) == [2, 3, 5, 7, 11, 13]
+        assert run_sieve(16).prime_headers == [2, 3, 5, 7, 11, 13]
 
     def test_width_one_has_no_rows(self):
-        assert primes(run_sieve(1)) == []
+        assert run_sieve(1).prime_headers == []
 
     def test_25_primes_below_100(self):
-        assert len(primes(run_sieve(100))) == 25
+        assert len(run_sieve(100).prime_headers) == 25
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             run_sieve(0)
 
     def test_matches_trial_division(self):
-        assert primes(run_sieve(500)) == primes_by_trial_division(500)
+        assert run_sieve(500).prime_headers == primes_by_trial_division(500)
 
     def test_literal_mode_agrees(self):
         for m in (1, 2, 16, 30):
-            assert primes(run_sieve(m, literal=True)) == primes(run_sieve(m))
+            assert run_sieve(m, literal=True).prime_headers == run_sieve(m).prime_headers
 
     def test_rows_hold_valuation_sequences(self):
         table = run_sieve(16)
@@ -97,7 +96,7 @@ class TestReadFactorization:
             assert (2 in entries) == (h % 2 == 0)
 
     def test_discovery_order_is_prime_order(self):
-        got = primes(run_sieve(200))
+        got = run_sieve(200).prime_headers
         assert got == sorted(got)
 
 

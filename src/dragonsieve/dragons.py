@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .limits import require_memory
 from .reports import CheckReport, Failure
 from .valuations import odd_part_mod4, valuation_oracle
 
-# 2**(j+1) terms is the Levy growth law; keep outputs well under memory.
-_MAX_ITERATIONS = 30
+# Peak bytes per term (two lists and a tuple); shift counts cap at 64, past any memory.
+_BYTES_PER_TERM = 24
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ def levy_turns(iterations: int) -> LevyTurnSequence:
     """Apply {increment all; insert 3 between each pair; add boundary 3s} j times to <3>."""
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
-    if iterations > _MAX_ITERATIONS:
-        raise ValueError(f"iterations {iterations} exceeds limit {_MAX_ITERATIONS}")
+    require_memory(f"a Levy dragon of {iterations} iterations",
+                   _BYTES_PER_TERM << min(iterations + 1, 64))
     seq = [3]
     for _ in range(iterations):
         out = [3]
@@ -57,8 +58,8 @@ def heighway_turns(iterations: int) -> HeighwayTurnSequence:
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    if iterations > _MAX_ITERATIONS:
-        raise ValueError(f"iterations {iterations} exceeds limit {_MAX_ITERATIONS}")
+    require_memory(f"a Heighway dragon of {iterations} iterations",
+                   _BYTES_PER_TERM << min(iterations, 64))
     seq = [0, 0]
     for _ in range(iterations):
         out = [seq[0]]

@@ -1,19 +1,30 @@
 """Division-free sieve: iterative prime discovery plus factorization reads.
 
-Candidate scanning keeps a per-column "marked" bit so the next-candidate
-check is O(1); the literal scan-the-whole-column behaviour is preserved as a
-slow debug mode (``literal=True``) for fidelity testing.  Row sequences for
-large primes are regenerated on demand rather than stored, since a dense
-table of every row would not fit in memory at useful widths.
+Row p is a fractal sequence, with 1 + v_p(k) at column k*p, so placing p
+takes only the first K terms of its DCI sequence, K being the number of
+multiples of p up to the width m (all zero when p*p > m).  The table is three
+flat columns set by stepped slices: ``exp`` (the entry; 0 marks a column no
+row reaches), ``top`` (the prime, the largest so far, as primes come in
+order) and ``rest`` (k, a link to column h/p, read down to 1 to factor).
+The one division is CPython's, to find the length of a stepped slice or
+``range``; nothing in this module divides.  Full rows are never stored.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
+from .limits import require_memory
 from .valuations import ValuationSequence, generate_dci
+
+_LINK = "I"  # typecode of ``top`` and ``rest``, which hold values up to m
+_MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
+# Peak bytes per column of run_sieve: the store, and row 2 (<= m terms) as list and tuple.
+_BYTES_PER_COLUMN = 1 + 2 * array(_LINK).itemsize + 16
+_PLUS_ONE = bytes(range(1, 256)) + b"\xff"  # translate table; terms stay far below 255
 
 
 @dataclass(frozen=True)
@@ -28,98 +39,79 @@ class Factorization:
 
 
 class SieveTable:
-    """The sieve's table: one valuation row per discovered prime, width m.
-
-    Mutable while the sieve runs; treat as immutable once `run_sieve`
-    returns.
-    """
+    """The sieve's table of width m, one row per discovered prime; immutable after `run_sieve`."""
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError(f"table width must be at least 1, got {m}")
+        if m > _MAX_WIDTH:
+            raise ValueError(f"table width {m} exceeds the column store's limit {_MAX_WIDTH}")
+        require_memory(f"a sieve table of width {m}", _BYTES_PER_COLUMN * m)
         self.m = m
         self._primes: list[int] = []
-        # Column h is "marked" once some placed row holds a positive entry there.
-        self._marked = bytearray(m + 1)
-        # Positive entries per column, in row (discovery) order.
-        self._columns: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
+        self._exp = bytearray(m + 1)
+        self._top = array(_LINK, [0]) * (m + 1)
+        self._rest = array(_LINK, [0]) * (m + 1)
         self._scan_from = 2
-        self._row_cache: dict[int, ValuationSequence] = {}
 
     @property
     def prime_headers(self) -> list[int]:
         return list(self._primes)
 
     def row(self, p: int) -> ValuationSequence:
-        if p not in self._primes:
+        if not 2 <= p <= self.m or self._top[p] != p:
             raise KeyError(f"no row for {p}")
-        cached = self._row_cache.get(p)
-        if cached is not None:
-            return cached
         return generate_dci(p, self.m)
 
     def rows(self) -> Iterator[tuple[int, ValuationSequence]]:
-        for p in self._primes:
-            yield p, self.row(p)
+        return ((p, self.row(p)) for p in self._primes)
 
     def place_row(self, p: int, row: ValuationSequence) -> None:
-        if row.p != p or row.m < self.m:
+        """Place prime p from its DCI sequence, of which the first K terms are read."""
+        count = len(range(p, self.m + 1, p))
+        if row.p != p or row.m < count:
             raise ValueError("row does not match table")
+        if self._primes and p <= self._primes[-1]:
+            raise ValueError(f"rows are placed in increasing order; {p} follows {self._primes[-1]}")
         self._primes.append(p)
-        # Small-prime rows are consulted again by later column reads; rows for
-        # p*p > m carry exponent 1 everywhere positive and are cheap to redo.
-        if p * p <= self.m:
-            self._row_cache[p] = row
-        for h in range(p, self.m + 1, p):
-            self._columns[h].append((p, row.term(h)))
-            self._marked[h] = 1
+        self._exp[p::p] = bytes(row.terms[:count]).translate(_PLUS_ONE)
+        self._top[p::p] = array(_LINK, [p]) * count
+        self._rest[p::p] = array(_LINK, range(1, count + 1))
 
     def place_unit_row(self, p: int) -> None:
-        """Place the row for a prime with p*p > m without materializing it.
-
-        One duplication round already covers the table width, so every
-        positive entry in such a row is 1; the full sequence is assembled
-        lazily by `row` when actually read.
-        """
-        if p * p <= self.m:
-            raise ValueError(f"{p}**2 fits the table; place the generated row")
-        self._primes.append(p)
-        for h in range(p, self.m + 1, p):
-            self._columns[h].append((p, 1))
-            self._marked[h] = 1
+        """Same as `place_row` with the generated row; kept for callers of its old name."""
+        self.place_row(p, generate_dci(p, len(range(p, self.m + 1, p))))
 
 
-def next_candidate(table: SieveTable, *, literal: bool = False) -> int | None:
+def next_candidate(table: SieveTable) -> int | None:
     """Smallest header > 1 whose column below is all zeros, or None if exhausted."""
-    if literal:
-        rows = list(table.rows())
-        for h in range(2, table.m + 1):
-            if all(row.term(h) == 0 for _, row in rows):
-                return h
-        return None
-    h = table._scan_from
-    while h <= table.m and table._marked[h]:
-        h += 1
-    table._scan_from = h  # columns never unmark, so the scan is monotone
-    return h if h <= table.m else None
+    h = table._exp.find(0, table._scan_from)
+    table._scan_from = h if h > 0 else table.m + 1  # columns never unmark
+    return h if h > 0 else None
 
 
-def run_sieve(m: int, *, literal: bool = False) -> SieveTable:
+def run_sieve(m: int) -> SieveTable:
     """Run the sieve to width m: discover primes left to right, place rows."""
     table = SieveTable(m)
-    while (p := next_candidate(table, literal=literal)) is not None:
-        if p * p <= m or literal:
-            table.place_row(p, generate_dci(p, m))
-        else:
-            table.place_unit_row(p)
+    while (p := next_candidate(table)) is not None:
+        table.place_row(p, generate_dci(p, len(range(p, m + 1, p))))
     return table
 
 
 def read_factorization(table: SieveTable, n: int) -> Factorization:
-    """Factor n by reading its column: rows with a positive entry, paired with it."""
+    """Factor n by following its column's links: largest prime first, then reversed."""
     if n < 1 or n > table.m:
         raise ValueError(f"n must be within 1..{table.m}, got {n}")
-    return Factorization(n, tuple(table._columns[n]))
+    exp, top, rest = table._exp, table._top, table._rest
+    factors = []
+    h = n
+    while e := exp[h]:
+        p = top[h]
+        factors.append((p, e))
+        h = rest[h]
+        while top[h] == p:  # strip the remaining powers of p
+            h = rest[h]
+    return Factorization(n, tuple(reversed(factors)))
 
 
 def format_table(table: SieveTable) -> str:

@@ -12,12 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-def _overshoot_limit(m: int) -> int:
-    # Rounds whose full overshoot would exceed this are truncated to the
-    # requested length instead of materialized; the incremented final term
-    # then sits beyond the stored prefix and is never observable.
-    return max(4 * m, 1024)
-
 
 @dataclass(frozen=True)
 class ValuationSequence:
@@ -73,7 +67,9 @@ def generate_dci(p: int, m: int) -> ValuationSequence:
     if m < 1:
         raise ValueError(f"length must be at least 1, got {m}")
     seq = [0]
-    limit = _overshoot_limit(m)
+    # A round that would overshoot past this is truncated to m terms instead;
+    # its incremented final term would lie beyond them, never observable.
+    limit = max(4 * m, 1024)
     while len(seq) < m:
         if len(seq) * p <= limit:
             seq = seq * p  # p-1 copies appended end-to-end

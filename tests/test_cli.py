@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,11 @@ class TestFactorCommand:
         code, _, _ = run(capsys, "factor", "50", "--limit", "30")
         assert code == 2
 
+    def test_width_beyond_store_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "factor", "2", "--limit", str(10**12))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestSequenceCommands:
     def test_levy(self, capsys):
@@ -66,6 +72,16 @@ class TestSequenceCommands:
         code, out, _ = run(capsys, "heighway", "--iterations", "2")
         assert code == 0
         assert out == "1 1\n2 1\n3 3\n"
+
+    @pytest.mark.parametrize("command", ["levy", "heighway"])
+    def test_30_iterations_exceed_8_gib(self, capsys, monkeypatch, command):
+        # 2**31 Levy or 2**30 Heighway terms at 24 bytes each; refused up front.
+        real = os.sysconf
+        pages = 8 * 2**30 // real("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+        code, out, err = run(capsys, command, "--iterations", "30")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "physical memory" in err
 
     def test_oddpart(self, capsys):
         code, out, _ = run(capsys, "oddpart", "--limit", "6")

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import math
+import os
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dragonsieve import (
     SieveTable,
@@ -12,7 +18,30 @@ from dragonsieve import (
     primes_by_trial_division,
     read_factorization,
     run_sieve,
+    trial_division_factor,
 )
+from dragonsieve import sieve
+
+
+def literal_next(rows, m):
+    """Oracle: scan full rows column by column for the first all-zero column > 1."""
+    for h in range(2, m + 1):
+        if all(row.term(h) == 0 for row in rows.values()):
+            return h
+    return None
+
+
+def literal_sieve(m):
+    """Oracle: the sieve with every row placed at full width m, columns scanned literally."""
+    rows = {}
+    while (p := literal_next(rows, m)) is not None:
+        rows[p] = generate_dci(p, m)
+    return rows
+
+
+def literal_factors(rows, n):
+    """Oracle: column n's positive entries, paired with their rows, in row order."""
+    return tuple((p, row.term(n)) for p, row in rows.items() if row.term(n) > 0)
 
 
 class TestRunSieve:
@@ -33,8 +62,15 @@ class TestRunSieve:
         assert run_sieve(500).prime_headers == primes_by_trial_division(500)
 
     def test_literal_mode_agrees(self):
-        for m in (1, 2, 16, 30):
-            assert run_sieve(m, literal=True).prime_headers == run_sieve(m).prime_headers
+        for m in range(1, 61):
+            rows = literal_sieve(m)
+            table = run_sieve(m)
+            assert table.prime_headers == list(rows)
+            for n in range(1, m + 1):
+                assert read_factorization(table, n).factors == literal_factors(rows, n)
+
+    def test_78498_primes_below_10_6(self):
+        assert len(run_sieve(10**6).prime_headers) == 78498
 
     def test_rows_hold_valuation_sequences(self):
         table = run_sieve(16)
@@ -55,7 +91,14 @@ class TestNextCandidate:
     def test_exhausted_at_16(self):
         table = run_sieve(16)
         assert next_candidate(table) is None
-        assert next_candidate(table, literal=True) is None
+        assert literal_next(dict(table.rows()), 16) is None
+
+    def test_scan_resumes_where_it_stopped(self):
+        table = SieveTable(10)
+        assert next_candidate(table) == 2
+        assert next_candidate(table) == 2  # unchanged until a row is placed
+        table.place_row(2, generate_dci(2, 5))
+        assert next_candidate(table) == 3
 
 
 class TestReadFactorization:
@@ -95,6 +138,18 @@ class TestReadFactorization:
             assert (3 in entries) == (h % 3 == 0)
             assert (2 in entries) == (h % 2 == 0)
 
+    def test_exact_up_to_20000(self):
+        table = run_sieve(20000)
+        for n in range(1, 20001):
+            assert read_factorization(table, n).factors == tuple(trial_division_factor(n))
+
+    @given(data=st.data(), m=st.integers(min_value=1, max_value=5000))
+    @settings(max_examples=50, deadline=None)
+    def test_exact_property(self, data, m):
+        n = data.draw(st.integers(min_value=1, max_value=m))
+        got = read_factorization(run_sieve(m), n).factors
+        assert got == tuple(trial_division_factor(n))
+
     def test_discovery_order_is_prime_order(self):
         got = run_sieve(200).prime_headers
         assert got == sorted(got)
@@ -117,3 +172,86 @@ class TestFormatTable:
             cells = line.split("\t")
             exps[int(cells[0])] = int(cells[n])
         assert math.prod(p**e for p, e in exps.items()) == n
+
+
+class TestPlaceRow:
+    def test_short_row_is_enough(self):
+        # Width 10 holds 5 multiples of 2 and 3 of 3; rows of those lengths suffice.
+        table = SieveTable(10)
+        table.place_row(2, generate_dci(2, 5))
+        table.place_row(3, generate_dci(3, 3))
+        assert read_factorization(table, 6).factors == ((2, 1), (3, 1))
+        assert read_factorization(table, 8).factors == ((2, 3),)
+
+    def test_rejects_row_shorter_than_multiples(self):
+        with pytest.raises(ValueError):
+            SieveTable(10).place_row(2, generate_dci(2, 4))
+
+    def test_rejects_row_for_other_prime(self):
+        with pytest.raises(ValueError):
+            SieveTable(10).place_row(2, generate_dci(3, 10))
+
+    def test_rejects_decreasing_order(self):
+        table = SieveTable(10)
+        table.place_row(3, generate_dci(3, 10))
+        with pytest.raises(ValueError):
+            table.place_row(2, generate_dci(2, 10))
+
+    def test_unit_row_is_the_generated_row(self):
+        table = SieveTable(30)
+        for p in (2, 3, 5):
+            table.place_row(p, generate_dci(p, 30))
+        table.place_unit_row(7)
+        assert read_factorization(table, 28).factors == ((2, 2), (7, 1))
+        assert table.row(7).terms == generate_dci(7, 30).terms
+
+
+class TestRow:
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 15, 17, 18])
+    def test_no_row_for_non_header(self, p):
+        with pytest.raises(KeyError):
+            run_sieve(16).row(p)
+
+    def test_row_is_full_width(self):
+        assert run_sieve(16).row(13).terms == generate_dci(13, 16).terms
+
+
+class TestLimits:
+    def test_width_beyond_link_typecode(self):
+        with pytest.raises(ValueError, match="column store"):
+            SieveTable(2**32)
+
+    def test_width_beyond_memory_raises_before_allocating(self, monkeypatch):
+        real = os.sysconf  # the machine reports 1 MiB of physical memory
+        pages = 2**20 // real("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                SieveTable(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+        assert run_sieve(1000).prime_headers[-1] == 997  # 25 KB still fits
+
+
+def _divisions(tree):
+    ops = (ast.Div, ast.FloorDiv, ast.Mod)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ops):
+            yield ast.unparse(node)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("divmod"):
+            yield ast.unparse(node)
+
+
+class TestDivisionFree:
+    def test_sieve_module_does_not_divide(self):
+        assert list(_divisions(ast.parse(inspect.getsource(sieve)))) == []
+
+    def test_generate_dci_does_not_divide(self):
+        assert list(_divisions(ast.parse(inspect.getsource(generate_dci)))) == []
+
+    def test_detector_sees_each_form(self):
+        src = "a / b\na // b\na % b\nx //= 2\nx %= 3\ndivmod(a, b)\nmath.divmod(a, b)"
+        assert len(list(_divisions(ast.parse(src)))) == 7

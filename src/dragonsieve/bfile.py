@@ -7,15 +7,20 @@ bit-exact so fixtures can be byte-compared.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
+
+# Terms formatted per write; bounds the text held at once to about 1 MB.
+_CHUNK = 1 << 16
 
 
 def format_b_file(terms: Sequence[int], start: int = 1) -> str:
     return "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=start))
 
 
-def write_b_file(terms: Sequence[int], path: str | Path, start: int = 1) -> None:
-    Path(path).write_text(format_b_file(terms, start), encoding="ascii")
+def write_b_file(terms: Sequence[int], out: TextIO, start: int = 1) -> None:
+    """Write the b-file text of ``terms`` to the open stream ``out``, a chunk at a time."""
+    for i in range(0, len(terms), _CHUNK):
+        out.write(format_b_file(terms[i : i + _CHUNK], start + i))
 
 
 def parse_b_file(lines: Iterable[str]) -> list[int]:

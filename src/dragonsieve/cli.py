@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import verify as verify_mod
-from .bfile import format_b_file, read_b_file
+from .bfile import read_b_file, write_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
 from .render import TurnProgram, reduce_mod, trace, write_svg
@@ -39,8 +39,7 @@ def _out_path(name: str) -> Path:
 
 
 def _cmd_seq(args) -> int:
-    seq = generate_dci(args.p, args.limit)
-    sys.stdout.write(format_b_file(seq.terms))
+    write_b_file(generate_dci(args.p, args.limit).terms, sys.stdout)
     return 0
 
 
@@ -72,12 +71,12 @@ def _cmd_decimate(args) -> int:
 
 
 def _cmd_levy(args) -> int:
-    sys.stdout.write(format_b_file(levy_turns(args.iterations).terms))
+    write_b_file(levy_turns(args.iterations).terms, sys.stdout)
     return 0
 
 
 def _cmd_heighway(args) -> int:
-    sys.stdout.write(format_b_file(heighway_turns(args.iterations).terms))
+    write_b_file(heighway_turns(args.iterations).terms, sys.stdout)
     return 0
 
 
@@ -85,7 +84,7 @@ def _cmd_oddpart(args) -> int:
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
         terms = [t % 4 for t in terms]
-    sys.stdout.write(format_b_file(terms))
+    write_b_file(terms, sys.stdout)
     return 0
 
 
@@ -101,8 +100,9 @@ def _cmd_render(args) -> int:
         terms = reduce_mod(terms, args.mod)
     mapping = "categorical-mod4" if args.mapping == "mod4" else "ccw-count"
     program = TurnProgram(tuple(terms), args.angle, mapping, clockwise=args.clockwise)
+    path = trace(program)
     out = _out_path(args.output)
-    write_svg(trace(program), out, stroke_width=args.stroke_width)
+    write_svg(path, out, stroke_width=args.stroke_width)
     print(f"wrote {out}")
     return 0
 

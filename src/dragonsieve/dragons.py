@@ -8,6 +8,7 @@ Heighway turns equal the odd part of n mod 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .limits import require_memory
 from .reports import CheckReport, Failure
@@ -70,9 +71,8 @@ def heighway_turns(iterations: int) -> HeighwayTurnSequence:
     return HeighwayTurnSequence(iterations, tuple(seq[1:-1]))
 
 
-def check_levy_theorem(iterations: int) -> CheckReport:
-    """Verify levy term i equals v2(8*i) for every generated index."""
-    terms = levy_turns(iterations).terms
+def check_levy_theorem(terms: Sequence[int]) -> CheckReport:
+    """Verify Levy turn term i equals v2(8*i) for every index of ``terms``."""
     failures = []
     for i, t in enumerate(terms, start=1):
         want = valuation_oracle(2, 8 * i)
@@ -81,9 +81,8 @@ def check_levy_theorem(iterations: int) -> CheckReport:
     return CheckReport("levy-turns-equal-v2-at-multiples-of-8", len(terms), failures)
 
 
-def check_heighway_equivalence(iterations: int) -> CheckReport:
-    """Verify heighway term n equals odd_part(n) mod 4 for every generated index."""
-    terms = heighway_turns(iterations).terms
+def check_heighway_equivalence(terms: Sequence[int]) -> CheckReport:
+    """Verify Heighway turn term n equals odd_part(n) mod 4 for every index of ``terms``."""
     failures = []
     for n, t in enumerate(terms, start=1):
         want = odd_part_mod4(n)

@@ -1,9 +1,9 @@
 """Turtle tracing of term sequences and SVG output.
 
 Headings are tracked as integer multiples of the turn unit, reduced modulo
-the unit's order around the circle whenever the angle is rational, so
-rotation never accumulates floating error.  At 90 and 180 degrees the walk
-stays on the integer lattice and coordinates are exact.
+the unit's order around the circle (finite for every float or fraction
+angle), so rotation never accumulates floating error.  At 90 and 180
+degrees the walk stays on the integer lattice and coordinates are exact.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ CATEGORICAL_MOD4 = "categorical-mod4"
 # Turn units per term under the categorical mapping: right, none, left, about-face.
 _CATEGORICAL_UNITS = {0: -1, 1: 0, 2: 1, 3: 2}
 
-# Precompute unit-vector tables only up to this order; beyond it, cache lazily.
-_TABLE_LIMIT = 1 << 16
+# Exact unit vectors, by heading, at the angles whose walk stays on the lattice.
+_LATTICE_UNITS = {90: ((1, 0), (0, 1), (-1, 0), (0, -1)), 180: ((1, 0), (-1, 0))}
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,6 @@ class PolylinePath:
     lattice: bool
 
 
-def _turn_units(term: int, mapping: str) -> int:
-    if mapping == CCW_COUNT:
-        return term
-    return _CATEGORICAL_UNITS[term % 4]
-
-
 def trace(program: TurnProgram) -> PolylinePath:
     """Walk the program: draw a unit segment, turn at the arrival point, repeat.
 
@@ -69,43 +63,31 @@ def trace(program: TurnProgram) -> PolylinePath:
     """
     if not program.terms:
         raise ValueError("turn program has no terms")
-    angle = Fraction(program.angle)
-    if angle <= 0 or angle > 180:
+    if not 0 < program.angle <= 180:
         raise ValueError(f"angle must be within (0, 180], got {program.angle}")
-
-    # Smallest r with r * angle a multiple of 360; r = None for irrational-like
-    # angles where the ratio's numerator is impractically large.
-    ratio = Fraction(360) / angle
-    order: int | None = ratio.numerator if ratio.numerator <= (1 << 40) else None
-
-    lattice = angle == 90 or angle == 180
-    if angle == 90:
-        units: object = ((1, 0), (0, 1), (-1, 0), (0, -1))
-    elif angle == 180:
-        units = ((1, 0), (-1, 0))
-    elif order is not None and order <= _TABLE_LIMIT:
-        units = tuple(
-            _unit_vector(angle, h) for h in range(order)
-        )
-    else:
-        units = {}  # lazily filled heading -> vector cache
+    angle = Fraction(program.angle)
+    # Smallest r with r * angle a multiple of 360: headings repeat modulo it.
+    order = (360 / angle).numerator
 
     sign = -1 if program.clockwise else 1
+    if program.mapping == CCW_COUNT:
+        turns = map(sign.__mul__, program.terms)
+    else:
+        turn_of = {r: sign * u for r, u in _CATEGORICAL_UNITS.items()}
+        turns = (turn_of[t % 4] for t in program.terms)
+
+    units = dict(enumerate(_LATTICE_UNITS.get(angle, ())))  # heading -> unit vector
+    lattice = bool(units)
     heading = 0
     x, y = (0, 0) if lattice else (0.0, 0.0)
     vertices = [(x, y)]
-    for term in program.terms:
-        if isinstance(units, dict):
-            vec = units.get(heading)
-            if vec is None:
-                vec = units[heading] = _unit_vector(angle, heading)
-        else:
-            vec = units[heading]
+    for turn in turns:
+        vec = units.get(heading)
+        if vec is None:
+            vec = units[heading] = _unit_vector(angle, heading)
         x, y = x + vec[0], y + vec[1]
         vertices.append((x, y))
-        heading += sign * _turn_units(term, program.mapping)
-        if order is not None:
-            heading %= order
+        heading = (heading + turn) % order
     return PolylinePath(tuple(vertices), lattice)
 
 
@@ -136,7 +118,6 @@ def to_svg(
     *,
     stroke_width: float = 1.0,
     margin: float = 8.0,
-    size: int | None = None,
 ) -> str:
     """Render the path as a standalone SVG 1.1 document with one polyline.
 
@@ -155,10 +136,9 @@ def to_svg(
     points = " ".join(
         f"{x - min_x + margin:.6f},{max_y - y + margin:.6f}" for x, y in path.vertices
     )
-    dims = f' width="{size}" height="{size}"' if size is not None else ""
     return (
         '<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1"{dims} '
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {width:.6f} {height:.6f}">\n'
         f'<polyline fill="none" stroke="black" stroke-width="{stroke_width}" '
         f'points="{points}"/>\n'

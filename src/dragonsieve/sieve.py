@@ -24,6 +24,8 @@ _LINK = "I"  # typecode of ``top`` and ``rest``, which hold values up to m
 _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
 # Peak bytes per column of run_sieve: the store, and row 2 (<= m terms) as list and tuple.
 _BYTES_PER_COLUMN = 1 + 2 * array(_LINK).itemsize + 16
+# Peak bytes per cell of format_table: the rows, their join and the final copy, ~2 each.
+_BYTES_PER_CELL = 6
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"  # translate table; terms stay far below 255
 
 
@@ -116,6 +118,8 @@ def read_factorization(table: SieveTable, n: int) -> Factorization:
 
 def format_table(table: SieveTable) -> str:
     """The table as tab-separated text: header row, then one row per prime."""
+    cells = (len(table._primes) + 1) * table.m
+    require_memory(f"the text of a sieve table of {cells} cells", _BYTES_PER_CELL * cells)
     lines = ["\t" + "\t".join(str(n) for n in range(1, table.m + 1))]
     for p, row in table.rows():
         lines.append(f"{p}\t" + "\t".join(str(t) for t in row.terms))

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class ValuationSequence:
-    """A 1-indexed prefix of the valuation sequence for base ``p``.
-
-    ``terms`` exposes exactly ``m`` values; the generator may retain a
-    longer internal prefix (up to the next power of p) so a later,
-    longer request can reuse the work.
-    """
+    """The 1-indexed prefix of length ``m`` of the valuation sequence for base ``p``."""
 
     p: int
     m: int
@@ -31,13 +26,13 @@ class ValuationSequence:
             raise ValueError(f"base must be at least 2, got {self.p}")
         if self.m < 1:
             raise ValueError(f"length must be at least 1, got {self.m}")
-        if len(self._full) < self.m:
-            raise ValueError("internal prefix shorter than requested length")
+        if len(self._full) != self.m:
+            raise ValueError(f"{len(self._full)} terms given for length {self.m}")
 
     @property
     def terms(self) -> list[int]:
-        """The exposed terms, as a fresh list of length ``m``."""
-        return list(self._full[: self.m])
+        """The terms, as a fresh list of length ``m``."""
+        return list(self._full)
 
     def term(self, n: int) -> int:
         """The term at 1-based index ``n``."""
@@ -48,38 +43,25 @@ class ValuationSequence:
     def __len__(self) -> int:
         return self.m
 
-    def with_length(self, m: int) -> "ValuationSequence":
-        """A view of length ``m``, reusing the retained prefix if it covers m."""
-        if m <= len(self._full):
-            return ValuationSequence(self.p, m, self._full)
-        return generate_dci(self.p, m)
-
 
 def generate_dci(p: int, m: int) -> ValuationSequence:
     """Build the valuation sequence for ``p`` by duplicate-concatenate-increment.
 
     Start from <0>; each round appends p-1 copies of the current sequence
-    end-to-end and increments the final term; stop once at least ``m`` terms
-    exist.  No division or modulo anywhere.
+    end-to-end and increments the final term, while that final term lies
+    within ``m``.  The first m terms of the next round are copies of the
+    prefix, so the rest is filled by copying.  No division or modulo anywhere.
     """
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
     if m < 1:
         raise ValueError(f"length must be at least 1, got {m}")
     seq = [0]
-    # A round that would overshoot past this is truncated to m terms instead;
-    # its incremented final term would lie beyond them, never observable.
-    limit = max(4 * m, 1024)
+    while len(seq) * p <= m:
+        seq = seq * p  # p-1 copies appended end-to-end
+        seq[-1] += 1
     while len(seq) < m:
-        if len(seq) * p <= limit:
-            seq = seq * p  # p-1 copies appended end-to-end
-            seq[-1] += 1
-        else:
-            # Final round would overshoot far past m: keep only the first m
-            # terms of the concatenation.  The increment lands at index
-            # len(seq)*p > m, outside the exposed view.
-            while len(seq) < m:
-                seq.extend(seq[: m - len(seq)])
+        seq += seq[: m - len(seq)]
     return ValuationSequence(p, m, tuple(seq))
 
 

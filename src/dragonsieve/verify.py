@@ -137,17 +137,15 @@ def verify_fractal(limit: int, max_period: int) -> list[CheckReport]:
 
 
 def verify_levy(iterations: int) -> list[CheckReport]:
-    # Building the turns here, outside the runner, rejects a bad count with
-    # a raise instead of a FAIL line; the check then builds its own copy.
-    cases = len(levy_turns(iterations).terms)
-    return [_run("levy-turns-equal-v2-at-multiples-of-8", cases,
-                 lambda: check_levy_theorem(iterations).failures)]
+    terms = levy_turns(iterations).terms
+    return [_run("levy-turns-equal-v2-at-multiples-of-8", len(terms),
+                 lambda: check_levy_theorem(terms).failures)]
 
 
 def verify_heighway(iterations: int) -> list[CheckReport]:
-    cases = len(heighway_turns(iterations).terms)
-    return [_run("heighway-turns-equal-odd-part-mod-4", cases,
-                 lambda: check_heighway_equivalence(iterations).failures)]
+    terms = heighway_turns(iterations).terms
+    return [_run("heighway-turns-equal-odd-part-mod-4", len(terms),
+                 lambda: check_heighway_equivalence(terms).failures)]
 
 
 def verify_render(limit: int) -> list[CheckReport]:

@@ -107,7 +107,7 @@ def test_criterion_06_aperiodicity_witnesses():
 
 def test_criterion_07_levy_theorem():
     t0 = time.perf_counter()
-    report = check_levy_theorem(10)
+    report = check_levy_theorem(levy_turns(10).terms)
     assert report.passed and report.cases == 2047
     assert levy_turns(1).terms == (3, 4, 3)
     assert levy_turns(2).terms == (3, 4, 3, 5, 3, 4, 3)
@@ -119,7 +119,7 @@ def test_criterion_07_levy_theorem():
 
 def test_criterion_08_heighway_equivalence():
     t0 = time.perf_counter()
-    report = check_heighway_equivalence(16)
+    report = check_heighway_equivalence(heighway_turns(16).terms)
     assert report.passed and report.cases == 65535
     assert heighway_turns(4).terms == (1, 1, 3, 1, 1, 3, 3, 1, 1, 1, 3, 3, 1, 3, 3)
     assert [odd_part_mod4(n) for n in range(1, 16)] == [

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dragonsieve import format_b_file, levy_turns
 from dragonsieve.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,6 +28,16 @@ class TestSieveCommand:
         _, first, _ = run(capsys, "sieve", "--limit", "30")
         _, second, _ = run(capsys, "sieve", "--limit", "30")
         assert first == second
+
+
+    def test_table_text_beyond_memory_is_usage_error(self, capsys, monkeypatch):
+        # 512 KiB holds the width-1000 store (25 KB) but not its 169k-cell text.
+        real = os.sysconf
+        pages = 2**19 // real("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+        code, out, err = run(capsys, "sieve", "--limit", "1000")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "physical memory" in err
 
 
 class TestSeqCommand:
@@ -82,6 +93,12 @@ class TestSequenceCommands:
         code, out, err = run(capsys, command, "--iterations", "30")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "physical memory" in err
+
+    def test_b_file_spans_write_chunks(self, capsys):
+        # 2**17 - 1 terms cross the writer's chunk boundaries.
+        code, out, _ = run(capsys, "levy", "--iterations", "16")
+        assert code == 0
+        assert out == format_b_file(levy_turns(16).terms)
 
     def test_oddpart(self, capsys):
         code, out, _ = run(capsys, "oddpart", "--limit", "6")
@@ -141,6 +158,18 @@ class TestRenderCommand:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out_file.exists()
+
+
+    @pytest.mark.parametrize("angle", ["inf", "nan", "-inf", "200"])
+    def test_out_of_range_angle_is_usage_error(self, capsys, tmp_path, angle):
+        out_file = tmp_path / "sub" / "x.svg"
+        code, out, err = run(
+            capsys, "render", "--p", "2", "--limit", "16", f"--angle={angle}",
+            "-o", str(out_file),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: angle must be within") and len(err.splitlines()) == 1
+        assert not out_file.parent.exists()
 
 
 class TestVerifyCommand:

@@ -58,7 +58,7 @@ class TestLevyTheorem:
         assert terms[1] == valuation_oracle(2, 16) == 4
 
     def test_ten_iterations_pass(self):
-        report = check_levy_theorem(10)
+        report = check_levy_theorem(levy_turns(10).terms)
         assert report.passed
         assert report.cases == 2047
 
@@ -101,6 +101,6 @@ class TestHeighwayEquivalence:
             assert terms[(1 << j) - 1] == 1 == odd_part_mod4(1 << j)
 
     def test_sixteen_iterations_pass(self):
-        report = check_heighway_equivalence(16)
+        report = check_heighway_equivalence(heighway_turns(16).terms)
         assert report.passed
         assert report.cases == 65535

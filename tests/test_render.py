@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,19 @@ def _heading(path, s):
     return _LATTICE_UNITS.index((x1 - x0, y1 - y0))
 
 
+def _unreduced_walk(terms, angle, clockwise):
+    """Vertices of the walk with the heading never reduced modulo the angle's order."""
+    unit = Fraction(angle)
+    heading, x, y = 0, 0.0, 0.0
+    vertices = [(x, y)]
+    for t in terms:
+        theta = math.radians(float((heading * unit) % 360))
+        x, y = x + math.cos(theta), y + math.sin(theta)
+        vertices.append((x, y))
+        heading += -t if clockwise else t
+    return tuple(vertices)
+
+
 class TestTrace:
     def test_golden_v2_prefix(self):
         path = trace(TurnProgram((0, 1, 0, 2), 90))
@@ -52,10 +66,18 @@ class TestTrace:
             trace(TurnProgram((), 90))
 
     def test_rejects_bad_angle(self):
-        with pytest.raises(ValueError):
-            trace(TurnProgram((0, 1), 0))
-        with pytest.raises(ValueError):
-            trace(TurnProgram((0, 1), 181))
+        for angle in (0, 181, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="angle must be within"):
+                trace(TurnProgram((0, 1), angle))
+
+    @pytest.mark.parametrize("clockwise", [False, True])
+    @pytest.mark.parametrize("angle", [0.01, 90.1, 72])
+    def test_reduced_heading_matches_unreduced_walk(self, angle, clockwise):
+        # 0.01 and 90.1 are binary floats whose order runs far past 2**16.
+        assert (360 / Fraction(angle)).numerator > 2**16 or angle == 72
+        terms = tuple(generate_dci(3, 3000).terms)
+        path = trace(TurnProgram(terms, angle, clockwise=clockwise))
+        assert path.vertices == _unreduced_walk(terms, angle, clockwise)
 
     def test_rejects_unknown_mapping(self):
         with pytest.raises(ValueError):

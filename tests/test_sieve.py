@@ -235,6 +235,21 @@ class TestLimits:
         assert peak < 10**5
         assert run_sieve(1000).prime_headers[-1] == 997  # 25 KB still fits
 
+    def test_table_text_beyond_memory_raises_before_building(self, monkeypatch):
+        table = run_sieve(1000)  # 169 rows of 1000 cells, about 1 MB of text at peak
+        real = os.sysconf  # the machine reports 512 KiB of physical memory
+        pages = 2**19 // real("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                format_table(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**4
+        assert format_table(run_sieve(30)).count("\n") == 11  # 31 * 11 cells still fit
+
 
 def _divisions(tree):
     ops = (ast.Div, ast.FloorDiv, ast.Mod)

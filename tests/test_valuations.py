@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dragonsieve import (
+    ValuationSequence,
     generate_dci,
     odd_even_parts,
     odd_part_mod4,
@@ -46,12 +47,27 @@ class TestGenerateDci:
         with pytest.raises(IndexError):
             seq.term(17)
 
-    def test_with_length_reuses_overshoot(self):
-        seq = generate_dci(2, 10)
-        longer = seq.with_length(16)
-        assert longer.terms == generate_dci(2, 16).terms
-        shorter = seq.with_length(3)
-        assert shorter.terms == [0, 1, 0]
+    def test_holds_exactly_m_terms(self):
+        with pytest.raises(ValueError):
+            ValuationSequence(2, 3, (0, 1, 0, 2))
+        with pytest.raises(ValueError):
+            ValuationSequence(2, 3, (0, 1))
+
+    @given(p=st.sampled_from([*SMALL_PRIMES, 997]), m=st.integers(min_value=1, max_value=5000))
+    @example(p=2, m=4096)
+    @example(p=2, m=4095)
+    @example(p=2, m=4097)
+    @example(p=3, m=2187)
+    @example(p=3, m=2186)
+    @example(p=13, m=2198)
+    @example(p=997, m=997)
+    @example(p=997, m=996)
+    @example(p=997, m=998)
+    @settings(max_examples=100, deadline=None)
+    def test_exact_length_matches_oracle(self, p, m):
+        seq = generate_dci(p, m)
+        assert len(seq._full) == m
+        assert seq.terms == [valuation_oracle(p, n) for n in range(1, m + 1)]
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_copy_structure(self, p):

@@ -4,27 +4,16 @@ from .bfile import format_b_file, parse_b_file, read_b_file, write_b_file
 from .dragons import (
     HeighwayTurnSequence,
     LevyTurnSequence,
-    check_heighway_equivalence,
-    check_levy_theorem,
     heighway_turns,
     levy_turns,
 )
 from .fractal import (
     aperiodicity_witness,
-    check_self_containment,
     decimate_terms,
     odd_part_decimation_indexes,
     reconstruct_odd_part,
 )
-from .render import (
-    PolylinePath,
-    TurnProgram,
-    path_equal,
-    to_svg,
-    trace,
-    write_svg,
-)
-from .reports import CheckReport, Failure
+from .render import PolylinePath, path_equal, to_svg, trace
 from .sieve import (
     Factorization,
     SieveTable,
@@ -43,6 +32,7 @@ from .valuations import (
     trial_division_factor,
     valuation_oracle,
 )
+from .verify import CheckReport, Failure
 
 __version__ = "0.1.0"
 
@@ -55,12 +45,8 @@ __all__ = [
     "OddEvenDecomposition",
     "PolylinePath",
     "SieveTable",
-    "TurnProgram",
     "ValuationSequence",
     "aperiodicity_witness",
-    "check_heighway_equivalence",
-    "check_levy_theorem",
-    "check_self_containment",
     "decimate_terms",
     "format_b_file",
     "format_table",
@@ -83,5 +69,4 @@ __all__ = [
     "trial_division_factor",
     "valuation_oracle",
     "write_b_file",
-    "write_svg",
 ]

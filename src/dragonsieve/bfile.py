@@ -27,14 +27,19 @@ def parse_b_file(lines: Iterable[str]) -> list[int]:
     """Parse b-file lines into a term list, checking the index column."""
     terms: list[int] = []
     expected = None
-    for raw in lines:
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        idx_s, val_s = line.split()
-        idx, val = int(idx_s), int(val_s)
+        try:
+            idx_s, val_s = line.split()
+            idx, val = int(idx_s), int(val_s)
+        except ValueError:
+            raise ValueError(f"b-file line {number}: expected '<index> <value>' "
+                             f"as two integers, got {line!r}") from None
         if expected is not None and idx != expected:
-            raise ValueError(f"non-consecutive index {idx}, expected {expected}")
+            raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
+                             f"expected {expected}")
         expected = idx + 1
         terms.append(val)
     return terms

@@ -18,7 +18,7 @@ from . import verify as verify_mod
 from .bfile import read_b_file, write_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
-from .render import TurnProgram, reduce_mod, trace, write_svg
+from .render import reduce_mod, to_svg, trace
 from .sieve import format_table, read_factorization, run_sieve
 from .valuations import generate_dci, trial_division_factor
 
@@ -58,6 +58,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_decimate(args) -> int:
+    if args.levels < 0:
+        raise ValueError(f"levels must be non-negative, got {args.levels}")
     seq = generate_dci(args.p, args.limit)
     rows = [("Original", seq.terms)]
     current = seq.terms
@@ -99,16 +101,21 @@ def _cmd_render(args) -> int:
     if args.mod is not None:
         terms = reduce_mod(terms, args.mod)
     mapping = "categorical-mod4" if args.mapping == "mod4" else "ccw-count"
-    program = TurnProgram(tuple(terms), args.angle, mapping, clockwise=args.clockwise)
-    path = trace(program)
+    path = trace(terms, args.angle, mapping, args.clockwise)
     out = _out_path(args.output)
-    write_svg(path, out, stroke_width=args.stroke_width)
+    out.write_text(to_svg(path, stroke_width=args.stroke_width), encoding="utf-8")
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
     names = verify_mod.SUITES if args.scope == "all" else (args.scope,)
+    taken = {k for name in names for k in verify_mod.SUITES[name][0]}
+    flags = {k for default, _ in verify_mod.SUITES.values() for k in default}
+    unused = sorted(k for k in flags - taken if getattr(args, k) is not None)
+    if unused:
+        raise ValueError(f"verify {args.scope} does not take "
+                         + ", ".join("--" + k.replace("_", "-") for k in unused))
     reports = []
     for name in names:
         default, small = verify_mod.SUITES[name]

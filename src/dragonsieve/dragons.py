@@ -1,18 +1,15 @@
 """Turn sequences for the Levy and Heighway dragon curves.
 
-Both sequences are produced by pure insertion rounds and checked against
-the division-based side: the Levy turns equal v2 at multiples of 8, the
-Heighway turns equal the odd part of n mod 4.
+Both sequences are produced by pure insertion rounds.  ``verify`` checks
+them against the division-based side: the Levy turns equal v2 at multiples
+of 8, the Heighway turns equal the odd part of n mod 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .limits import require_memory
-from .reports import CheckReport, Failure
-from .valuations import odd_part_mod4, valuation_oracle
 
 # Peak bytes per term (two lists and a tuple); shift counts cap at 64, past any memory.
 _BYTES_PER_TERM = 24
@@ -69,23 +66,3 @@ def heighway_turns(iterations: int) -> HeighwayTurnSequence:
             out.append(seq[i])
         seq = out
     return HeighwayTurnSequence(iterations, tuple(seq[1:-1]))
-
-
-def check_levy_theorem(terms: Sequence[int]) -> CheckReport:
-    """Verify Levy turn term i equals v2(8*i) for every index of ``terms``."""
-    failures = []
-    for i, t in enumerate(terms, start=1):
-        want = valuation_oracle(2, 8 * i)
-        if t != want:
-            failures.append(Failure(i, want, t))
-    return CheckReport("levy-turns-equal-v2-at-multiples-of-8", len(terms), failures)
-
-
-def check_heighway_equivalence(terms: Sequence[int]) -> CheckReport:
-    """Verify Heighway turn term n equals odd_part(n) mod 4 for every index of ``terms``."""
-    failures = []
-    for n, t in enumerate(terms, start=1):
-        want = odd_part_mod4(n)
-        if t != want:
-            failures.append(Failure(n, want, t))
-    return CheckReport("heighway-turns-equal-odd-part-mod-4", len(terms), failures)

@@ -1,16 +1,14 @@
-"""Fractal-structure machinery for valuation sequences.
+"""Fractal-structure constructions for valuation sequences.
 
 Decimation keeps every (p+1)-th term; a valuation sequence survives that
 selection unchanged, which together with per-period aperiodicity witnesses
-is what certifies the sequence as fractal.  The odd-part index families and
-reconstruction live here too.
+is what certifies the sequence as fractal (``verify`` makes both checks).
+The odd-part index families and reconstruction live here too.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from .reports import CheckReport, Failure
 
 
 def decimate_terms(terms: Sequence[int], p: int) -> list[int]:
@@ -19,26 +17,6 @@ def decimate_terms(terms: Sequence[int], p: int) -> list[int]:
         raise ValueError(f"base must be at least 2, got {p}")
     step = p + 1
     return [terms[i] for i in range(step - 1, len(terms), step)]
-
-
-def check_self_containment(terms: Sequence[int], p: int, count: int) -> CheckReport:
-    """Compare the first ``count`` decimated terms against the originals.
-
-    Accepts any term list, so non-valuation negative controls are testable.
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    selected = decimate_terms(terms, p)
-    if len(selected) < count:
-        raise ValueError(
-            f"only {len(selected)} terms survive decimation, need {count}"
-        )
-    failures = [
-        Failure(i, terms[i - 1], selected[i - 1])
-        for i in range(1, count + 1)
-        if selected[i - 1] != terms[i - 1]
-    ]
-    return CheckReport("self-containment", count, failures)
 
 
 def aperiodicity_witness(terms: Sequence[int], q: int) -> int | None:

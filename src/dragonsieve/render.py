@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
+
+from .limits import require_memory
 
 CCW_COUNT = "ccw-count"
 CATEGORICAL_MOD4 = "categorical-mod4"
@@ -23,25 +24,10 @@ _CATEGORICAL_UNITS = {0: -1, 1: 0, 2: 1, 3: 2}
 # Exact unit vectors, by heading, at the angles whose walk stays on the lattice.
 _LATTICE_UNITS = {90: ((1, 0), (0, 1), (-1, 0), (0, -1)), 180: ((1, 0), (-1, 0))}
 
-
-@dataclass(frozen=True)
-class TurnProgram:
-    """A term sequence plus the geometry that interprets it.
-
-    ``angle`` is the turn unit in degrees (0 < angle <= 180).  Under
-    ``ccw-count`` each term t turns t units counterclockwise; under
-    ``categorical-mod4`` terms select right / none / left / about-face.
-    ``clockwise`` flips chirality for experimentation.
-    """
-
-    terms: tuple[int, ...]
-    angle: float | int | Fraction = 90
-    mapping: str = CCW_COUNT
-    clockwise: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mapping not in (CCW_COUNT, CATEGORICAL_MOD4):
-            raise ValueError(f"unknown mapping {self.mapping!r}")
+# Peak bytes per term of `trace` plus `to_svg` (the vertex tuple, the xs/ys
+# lists and the point string): RSS growth measured at 229-263 for 10^5 and
+# 10^6 terms at 90, 120 and 72 degrees (Python 3.11, x86-64).
+_BYTES_PER_TERM = 264
 
 
 @dataclass(frozen=True)
@@ -55,26 +41,37 @@ class PolylinePath:
     lattice: bool
 
 
-def trace(program: TurnProgram) -> PolylinePath:
-    """Walk the program: draw a unit segment, turn at the arrival point, repeat.
+def trace(
+    terms: Sequence[int],
+    angle: float | int | Fraction = 90,
+    mapping: str = CCW_COUNT,
+    clockwise: bool = False,
+) -> PolylinePath:
+    """Walk the terms: draw a unit segment, turn at the arrival point, repeat.
 
-    The turtle starts at the origin heading +x.  Move first, then turn:
-    term n is the turn applied at arrival point n.
+    ``angle`` is the turn unit in degrees (0 < angle <= 180).  Under
+    ``ccw-count`` each term t turns t units counterclockwise; under
+    ``categorical-mod4`` terms select right / none / left / about-face.
+    ``clockwise`` flips chirality.  The turtle starts at the origin heading
+    +x.  Move first, then turn: term n is the turn applied at arrival point n.
     """
-    if not program.terms:
-        raise ValueError("turn program has no terms")
-    if not 0 < program.angle <= 180:
-        raise ValueError(f"angle must be within (0, 180], got {program.angle}")
-    angle = Fraction(program.angle)
+    if not terms:
+        raise ValueError("no terms to trace")
+    if not 0 < angle <= 180:
+        raise ValueError(f"angle must be within (0, 180], got {angle}")
+    if mapping not in (CCW_COUNT, CATEGORICAL_MOD4):
+        raise ValueError(f"unknown mapping {mapping!r}")
+    require_memory(f"a trace of {len(terms)} terms", _BYTES_PER_TERM * len(terms))
+    angle = Fraction(angle)
     # Smallest r with r * angle a multiple of 360: headings repeat modulo it.
     order = (360 / angle).numerator
 
-    sign = -1 if program.clockwise else 1
-    if program.mapping == CCW_COUNT:
-        turns = map(sign.__mul__, program.terms)
+    sign = -1 if clockwise else 1
+    if mapping == CCW_COUNT:
+        turns = map(sign.__mul__, terms)
     else:
         turn_of = {r: sign * u for r, u in _CATEGORICAL_UNITS.items()}
-        turns = (turn_of[t % 4] for t in program.terms)
+        turns = (turn_of[t % 4] for t in terms)
 
     units = dict(enumerate(_LATTICE_UNITS.get(angle, ())))  # heading -> unit vector
     lattice = bool(units)
@@ -144,10 +141,6 @@ def to_svg(
         f'points="{points}"/>\n'
         "</svg>\n"
     )
-
-
-def write_svg(path: PolylinePath, out: str | Path, **options) -> None:
-    Path(out).write_text(to_svg(path, **options), encoding="utf-8")
 
 
 def reduce_mod(terms: Sequence[int], modulus: int) -> list[int]:

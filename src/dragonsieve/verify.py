@@ -1,5 +1,6 @@
 """Verification suites wiring the division-free constructions to their oracles.
 
+This is the one module that compares a construction against an oracle.
 ``SUITES`` lists the suites in run order with their limits.  Each public
 ``verify_<suite>`` function builds its constructions from its arguments (a
 rejected argument raises) and hands every check to one runner, which names
@@ -12,27 +13,18 @@ from __future__ import annotations
 import math
 import operator
 import time
+from dataclasses import dataclass, field
 from itertools import pairwise, repeat, zip_longest
 from typing import Callable, Iterable
 
-from .dragons import (
-    check_heighway_equivalence,
-    check_levy_theorem,
-    heighway_turns,
-    levy_turns,
-)
-from .fractal import (
-    aperiodicity_witness,
-    check_self_containment,
-    decimate_terms,
-    reconstruct_odd_part,
-)
-from .render import TurnProgram, path_equal, reduce_mod, trace
-from .reports import CheckReport, Failure
+from .dragons import heighway_turns, levy_turns
+from .fractal import aperiodicity_witness, decimate_terms, reconstruct_odd_part
+from .render import path_equal, reduce_mod, trace
 from .sieve import read_factorization, run_sieve
 from .valuations import (
     generate_dci,
     odd_even_parts,
+    odd_part_mod4,
     primes_by_trial_division,
     valuation_oracle,
 )
@@ -51,6 +43,40 @@ SUITES = {
     "heighway": ({"iterations": 16}, {"iterations": 10}),
     "render": ({"limit": 10**4}, {"limit": 2000}),
 }
+
+
+@dataclass(frozen=True)
+class Failure:
+    index: int
+    expected: object
+    actual: object
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one check.  Empty failures means pass."""
+
+    name: str
+    cases: int
+    failures: list[Failure] = field(default_factory=list)
+    wall_time: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def summary(self) -> str:
+        # Timing is isolated in the final column so everything before it is
+        # deterministic.
+        if self.passed:
+            head = f"ok\t{self.name}\tcases={self.cases}\t-"
+        else:
+            f = self.failures[0]
+            head = (
+                f"FAIL\t{self.name}\tcases={self.cases}\t"
+                f"first: index={f.index} expected={f.expected} actual={f.actual}"
+            )
+        return f"{head}\t{self.wall_time:.3f}s"
 
 
 def _run(name: str, cases: int, check: Callable[[], list[Failure]]) -> CheckReport:
@@ -107,13 +133,12 @@ def verify_fractal(limit: int, max_period: int) -> list[CheckReport]:
     reports = []
     sequences = {p: generate_dci(p, limit).terms for p in FRACTAL_PRIMES}
     for p, terms in sequences.items():
-        count = limit // (p + 1)
-        reports.append(_run(f"decimation-self-containment-p{p}", count,
-                            lambda: check_self_containment(terms, p, count).failures))
-        # Second decimation level: the decimated output is itself the sequence.
-        twice = decimate_terms(decimate_terms(terms, p), p)
-        reports.append(_run(f"nested-decimation-p{p}", len(twice),
-                            lambda: _first_mismatch(terms[: len(twice)], twice)))
+        # Decimated once and twice, the sequence gives back its own prefix.
+        once = decimate_terms(terms, p)
+        for name, kept in (("decimation-self-containment", once),
+                           ("nested-decimation", decimate_terms(once, p))):
+            reports.append(_run(f"{name}-p{p}", len(kept),
+                                lambda: _first_mismatch(terms[: len(kept)], kept)))
 
     for p in (2, 3):
         terms = sequences[p]
@@ -137,28 +162,32 @@ def verify_fractal(limit: int, max_period: int) -> list[CheckReport]:
 
 
 def verify_levy(iterations: int) -> list[CheckReport]:
+    # Levy turn i is v2(8i).
     terms = levy_turns(iterations).terms
     return [_run("levy-turns-equal-v2-at-multiples-of-8", len(terms),
-                 lambda: check_levy_theorem(terms).failures)]
+                 lambda: _first_mismatch(
+                     map(valuation_oracle, repeat(2), range(8, 8 * len(terms) + 1, 8)),
+                     terms))]
 
 
 def verify_heighway(iterations: int) -> list[CheckReport]:
+    # Heighway turn n is the odd part of n mod 4.
     terms = heighway_turns(iterations).terms
     return [_run("heighway-turns-equal-odd-part-mod-4", len(terms),
-                 lambda: check_heighway_equivalence(terms).failures)]
+                 lambda: _first_mismatch(map(odd_part_mod4, range(1, len(terms) + 1)), terms))]
 
 
 def verify_render(limit: int) -> list[CheckReport]:
-    terms = tuple(generate_dci(2, limit).terms)
+    terms = generate_dci(2, limit).terms
     cases = len(terms)
 
     def mod4_invariance() -> list[Failure]:
-        full = trace(TurnProgram(terms, 90))
-        reduced = trace(TurnProgram(tuple(reduce_mod(terms, 4)), 90))
+        full = trace(terms, 90)
+        reduced = trace(reduce_mod(terms, 4), 90)
         return [] if path_equal(full, reduced, 0.0) else [Failure(1, "equal paths", "mismatch")]
 
     def unit_segments(angle: int) -> list[Failure]:
-        vertices = trace(TurnProgram(terms, angle)).vertices
+        vertices = trace(terms, angle).vertices
         lengths = (math.dist(a, b) for a, b in pairwise(vertices))
         return _first_mismatch(repeat(1.0, cases), lengths,
                                same=lambda e, a: abs(a - e) <= 1e-9)
@@ -166,7 +195,7 @@ def verify_render(limit: int) -> list[CheckReport]:
     def vertex_count_law() -> list[Failure]:
         prefixes = [terms[: 1 + (k * 37) % min(cases, 500)] for k in range(1, 101)]
         return _first_mismatch([len(prefix) + 1 for prefix in prefixes],
-                               (len(trace(TurnProgram(prefix, 90)).vertices)
+                               (len(trace(prefix, 90).vertices)
                                 for prefix in prefixes))
 
     return [

@@ -12,10 +12,7 @@ from pathlib import Path
 import pytest
 
 from dragonsieve import (
-    TurnProgram,
     aperiodicity_witness,
-    check_heighway_equivalence,
-    check_levy_theorem,
     decimate_terms,
     generate_dci,
     heighway_turns,
@@ -107,8 +104,9 @@ def test_criterion_06_aperiodicity_witnesses():
 
 def test_criterion_07_levy_theorem():
     t0 = time.perf_counter()
-    report = check_levy_theorem(levy_turns(10).terms)
-    assert report.passed and report.cases == 2047
+    terms = levy_turns(10).terms
+    assert len(terms) == 2047
+    assert terms == tuple(valuation_oracle(2, 8 * i) for i in range(1, 2048))
     assert levy_turns(1).terms == (3, 4, 3)
     assert levy_turns(2).terms == (3, 4, 3, 5, 3, 4, 3)
     assert levy_turns(3).terms == (3, 4, 3, 5, 3, 4, 3, 6, 3, 4, 3, 5, 3, 4, 3)
@@ -119,8 +117,9 @@ def test_criterion_07_levy_theorem():
 
 def test_criterion_08_heighway_equivalence():
     t0 = time.perf_counter()
-    report = check_heighway_equivalence(heighway_turns(16).terms)
-    assert report.passed and report.cases == 65535
+    terms = heighway_turns(16).terms
+    assert len(terms) == 65535
+    assert terms == tuple(odd_part_mod4(n) for n in range(1, 65536))
     assert heighway_turns(4).terms == (1, 1, 3, 1, 1, 3, 3, 1, 1, 1, 3, 3, 1, 3, 3)
     assert [odd_part_mod4(n) for n in range(1, 16)] == [
         1, 1, 3, 1, 1, 3, 3, 1, 1, 1, 3, 3, 1, 3, 3]
@@ -143,27 +142,27 @@ def test_criterion_09_odd_part_machinery():
 
 def test_criterion_10_render_invariants():
     t0 = time.perf_counter()
-    terms = tuple(generate_dci(2, 10**4).terms)
-    full = trace(TurnProgram(terms, 90))
+    terms = generate_dci(2, 10**4).terms
+    full = trace(terms, 90)
     assert full.lattice
-    reduced = trace(TurnProgram(tuple(reduce_mod(terms, 4)), 90))
+    reduced = trace(reduce_mod(terms, 4), 90)
     assert path_equal(full, reduced, 0.0)
 
     for angle in (120, 135, 60):
-        path = trace(TurnProgram(terms, angle))
+        path = trace(terms, angle)
         for (x0, y0), (x1, y1) in zip(path.vertices, path.vertices[1:]):
             assert abs(((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5 - 1.0) < 1e-9
 
     rng = random.Random(0)
     for _ in range(100):
         prog = tuple(rng.randrange(8) for _ in range(rng.randrange(1, 60)))
-        assert len(trace(TurnProgram(prog, rng.choice([90, 60, 120, 135]))).vertices) == len(prog) + 1
+        assert len(trace(prog, rng.choice([90, 60, 120, 135])).vertices) == len(prog) + 1
     _criterion(10, "mod-4 invariance, unit lengths, and the vertex-count law", 5.0, t0)
 
 
 def test_criterion_11_golden_trace():
     t0 = time.perf_counter()
-    path = trace(TurnProgram(tuple(generate_dci(2, 16).terms), 90))
+    path = trace(generate_dci(2, 16).terms, 90)
     assert path.vertices[:5] == ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
     _criterion(11, "golden five-vertex trace pins the move-then-turn convention", 1.0, t0)
 
@@ -182,8 +181,8 @@ def test_criterion_11_golden_trace():
 def test_criterion_12_figure_artifacts(p, angle, name):
     t0 = time.perf_counter()
     ARTIFACTS.mkdir(exist_ok=True)
-    terms = tuple(generate_dci(p, 4096).terms)
-    svg = to_svg(trace(TurnProgram(terms, angle)), stroke_width=0.4)
+    terms = generate_dci(p, 4096).terms
+    svg = to_svg(trace(terms, angle), stroke_width=0.4)
     out = ARTIFACTS / f"{name}.svg"
     out.write_text(svg, encoding="utf-8")
     assert svg.startswith("<?xml") and "<polyline" in svg

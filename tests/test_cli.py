@@ -18,6 +18,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def report_physical_memory(monkeypatch, nbytes):
+    """Make `os.sysconf` report a machine with ``nbytes`` of physical memory."""
+    real = os.sysconf
+    pages = nbytes // real("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+
+
 class TestSieveCommand:
     def test_table_16_matches_fixture(self, capsys):
         code, out, _ = run(capsys, "sieve", "--limit", "16")
@@ -32,9 +39,7 @@ class TestSieveCommand:
 
     def test_table_text_beyond_memory_is_usage_error(self, capsys, monkeypatch):
         # 512 KiB holds the width-1000 store (25 KB) but not its 169k-cell text.
-        real = os.sysconf
-        pages = 2**19 // real("SC_PAGE_SIZE")
-        monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+        report_physical_memory(monkeypatch, 2**19)
         code, out, err = run(capsys, "sieve", "--limit", "1000")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "physical memory" in err
@@ -87,9 +92,7 @@ class TestSequenceCommands:
     @pytest.mark.parametrize("command", ["levy", "heighway"])
     def test_30_iterations_exceed_8_gib(self, capsys, monkeypatch, command):
         # 2**31 Levy or 2**30 Heighway terms at 24 bytes each; refused up front.
-        real = os.sysconf
-        pages = 8 * 2**30 // real("SC_PAGE_SIZE")
-        monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+        report_physical_memory(monkeypatch, 8 * 2**30)
         code, out, err = run(capsys, command, "--iterations", "30")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "physical memory" in err
@@ -115,6 +118,11 @@ class TestSequenceCommands:
         lines = out.splitlines()
         assert lines[0].startswith("Original:")
         assert lines[1] == "Decimated:\t0, 1, 0, 2"
+
+    def test_negative_levels_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "decimate", "--p", "2", "--limit", "12", "--levels", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: levels must be non-negative, got -1\n"
 
 
 class TestRenderCommand:
@@ -142,6 +150,28 @@ class TestRenderCommand:
         code, _, _ = run(capsys, "render", "--p", "2", "--limit", "16", "-o", "nested/out.svg")
         assert code == 0
         assert (tmp_path / "nested" / "out.svg").exists()
+
+    @pytest.mark.parametrize("line", ["2 1 7", "2", "2 x"])
+    def test_malformed_b_file_line_is_usage_error(self, capsys, tmp_path, line):
+        src = tmp_path / "terms.bfile"
+        src.write_text(f"# header\n1 0\n{line}\n3 0\n")
+        out_file = tmp_path / "curve.svg"
+        code, out, err = run(capsys, "render", "--from-file", str(src), "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == (f"error: b-file line 3: expected '<index> <value>' "
+                       f"as two integers, got '{line}'\n")
+        assert not out_file.exists()
+
+    def test_trace_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # 64 KiB cannot hold the trace and SVG text of 1000 terms.
+        report_physical_memory(monkeypatch, 2**16)
+        out_file = tmp_path / "sub" / "x.svg"
+        code, out, err = run(capsys, "render", "--p", "2", "--limit", "1000",
+                             "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a trace of 1000 terms would not fit in physical memory")
+        assert len(err.splitlines()) == 1
+        assert not out_file.parent.exists()
 
     def test_missing_source_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "render", "-o", str(tmp_path / "x.svg"))
@@ -186,6 +216,12 @@ class TestVerifyCommand:
 
     def test_all_small(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--small")
+        assert code == 0
+        assert out.splitlines()[-1] == "PASS"
+
+    def test_all_takes_every_suites_flags(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--small", "--limit", "300",
+                           "--iterations", "3", "--max-period", "5")
         assert code == 0
         assert out.splitlines()[-1] == "PASS"
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dragonsieve import (
     aperiodicity_witness,
-    check_self_containment,
     decimate_terms,
     generate_dci,
     odd_even_parts,
@@ -37,27 +36,30 @@ class TestDecimate:
 
 
 class TestSelfContainment:
+    """Decimation gives back the sequence's own prefix (the identity `verify` checks)."""
+
     def test_v2_passes(self):
         terms = generate_dci(2, 48).terms
-        assert check_self_containment(terms, 2, 16).passed
+        kept = decimate_terms(terms, 2)
+        assert len(kept) == 16
+        assert kept == terms[:16]
 
     def test_v3_passes(self):
         terms = generate_dci(3, 108).terms
-        assert check_self_containment(terms, 3, 27).passed
+        kept = decimate_terms(terms, 3)
+        assert len(kept) == 27
+        assert kept == terms[:27]
 
     def test_constant_raw_sequence_passes_trivially(self):
-        # A constant sequence survives any selection; the check is about the
-        # decimation identity, not about being a valuation sequence.
-        assert check_self_containment([1] * 12, 2, 3).passed
+        # A constant sequence survives any selection; the identity is about
+        # decimation, not about being a valuation sequence.
+        assert decimate_terms([1] * 12, 2) == [1] * 4
 
     def test_increasing_raw_sequence_fails(self):
-        report = check_self_containment(list(range(1, 13)), 2, 3)
-        assert not report.passed
-        assert report.failures[0].index == 1
-
-    def test_insufficient_length_raises(self):
-        with pytest.raises(ValueError):
-            check_self_containment(generate_dci(2, 10).terms, 2, 16)
+        terms = list(range(1, 13))
+        kept = decimate_terms(terms, 2)
+        assert kept == [3, 6, 9, 12]
+        assert kept[0] != terms[0]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_nested_levels(self, p):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonsieve import TurnProgram, generate_dci, path_equal, to_svg, trace
+from dragonsieve import generate_dci, path_equal, to_svg, trace
 from dragonsieve.render import reduce_mod
 
 # CCW quarter-turn rotation applied h times, for lattice normalization.
@@ -44,88 +44,88 @@ def _unreduced_walk(terms, angle, clockwise):
 
 class TestTrace:
     def test_golden_v2_prefix(self):
-        path = trace(TurnProgram((0, 1, 0, 2), 90))
+        path = trace((0, 1, 0, 2), 90)
         assert path.vertices == ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
         # double turn at the last point reverses the heading
         assert tuple(_heading(path, s) for s in range(4)) == (0, 0, 1, 1)
 
     def test_all_zero_terms_stay_collinear(self):
-        path = trace(TurnProgram((0,) * 6, 72))
+        path = trace((0,) * 6, 72)
         for k, (x, y) in enumerate(path.vertices):
             assert abs(x - k) < 1e-12 and abs(y) < 1e-12
 
     def test_categorical_single_left_turn(self):
-        path = trace(TurnProgram((2,), 90, "categorical-mod4"))
+        path = trace((2,), 90, "categorical-mod4")
         assert path.vertices == ((0, 0), (1, 0))
         # turn applied after the only move; a second term would head north
-        path2 = trace(TurnProgram((2, 0), 90, "categorical-mod4"))
+        path2 = trace((2, 0), 90, "categorical-mod4")
         assert path2.vertices == ((0, 0), (1, 0), (1, 1))
 
     def test_rejects_empty_program(self):
         with pytest.raises(ValueError):
-            trace(TurnProgram((), 90))
+            trace((), 90)
 
     def test_rejects_bad_angle(self):
         for angle in (0, 181, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="angle must be within"):
-                trace(TurnProgram((0, 1), angle))
+                trace((0, 1), angle)
 
     @pytest.mark.parametrize("clockwise", [False, True])
     @pytest.mark.parametrize("angle", [0.01, 90.1, 72])
     def test_reduced_heading_matches_unreduced_walk(self, angle, clockwise):
         # 0.01 and 90.1 are binary floats whose order runs far past 2**16.
         assert (360 / Fraction(angle)).numerator > 2**16 or angle == 72
-        terms = tuple(generate_dci(3, 3000).terms)
-        path = trace(TurnProgram(terms, angle, clockwise=clockwise))
+        terms = generate_dci(3, 3000).terms
+        path = trace(terms, angle, clockwise=clockwise)
         assert path.vertices == _unreduced_walk(terms, angle, clockwise)
 
     def test_rejects_unknown_mapping(self):
-        with pytest.raises(ValueError):
-            TurnProgram((0, 1), 90, "spin")
+        with pytest.raises(ValueError, match="unknown mapping 'spin'"):
+            trace((0, 1), 90, "spin")
 
     def test_vertex_count_law(self):
         rng = random.Random(7)
         for _ in range(100):
             terms = tuple(rng.randrange(6) for _ in range(rng.randrange(1, 40)))
             angle = rng.choice([90, 60, 120, 135, 45, 30])
-            path = trace(TurnProgram(terms, angle))
+            path = trace(terms, angle)
             assert len(path.vertices) == len(terms) + 1
 
     @pytest.mark.parametrize("angle", [60, 120, 135, 150, 36])
     def test_unit_segment_lengths(self, angle):
-        terms = tuple(generate_dci(2, 500).terms)
-        path = trace(TurnProgram(terms, angle))
+        terms = generate_dci(2, 500).terms
+        path = trace(terms, angle)
         for (x0, y0), (x1, y1) in zip(path.vertices, path.vertices[1:]):
             assert abs(math.hypot(x1 - x0, y1 - y0) - 1.0) < 1e-9
 
     def test_lattice_mode_flags(self):
-        assert trace(TurnProgram((0, 1), 90)).lattice
-        assert trace(TurnProgram((0, 1), 180)).lattice
-        assert not trace(TurnProgram((0, 1), 120)).lattice
+        assert trace((0, 1), 90).lattice
+        assert trace((0, 1), 180).lattice
+        assert not trace((0, 1), 120).lattice
 
     def test_mod4_reduction_invariance_exact(self):
-        terms = tuple(generate_dci(2, 2000).terms)
-        full = trace(TurnProgram(terms, 90))
-        reduced = trace(TurnProgram(tuple(reduce_mod(terms, 4)), 90))
+        terms = generate_dci(2, 2000).terms
+        full = trace(terms, 90)
+        reduced = trace(reduce_mod(terms, 4), 90)
         assert path_equal(full, reduced, 0.0)
 
     def test_mod3_reduction_invariance_at_120(self):
-        terms = tuple(generate_dci(2, 500).terms)
-        full = trace(TurnProgram(terms, 120))
-        reduced = trace(TurnProgram(tuple(reduce_mod(terms, 3)), 120))
+        terms = generate_dci(2, 500).terms
+        full = trace(terms, 120)
+        reduced = trace(reduce_mod(terms, 3), 120)
         assert path_equal(full, reduced, 1e-9)
 
     def test_clockwise_mirrors(self):
         terms = (0, 1, 0, 2)
-        ccw = trace(TurnProgram(terms, 90))
-        cw = trace(TurnProgram(terms, 90, clockwise=True))
+        ccw = trace(terms, 90)
+        cw = trace(terms, 90, clockwise=True)
         assert cw.vertices == tuple((x, -y) for x, y in ccw.vertices)
 
     def test_spike_blocks_are_congruent(self):
         # Between consecutive multiples of 8, the walk repeats one T-shaped
         # template up to rotation.
-        template = trace(TurnProgram((0, 1, 0, 2, 0, 1, 0), 90)).vertices
-        path = trace(TurnProgram(tuple(generate_dci(2, 64).terms), 90))
+        template = trace((0, 1, 0, 2, 0, 1, 0), 90).vertices
+        path = trace(generate_dci(2, 64).terms, 90)
         for k in range(8):
             s = 8 * k
             h = _heading(path, s)
@@ -138,39 +138,39 @@ class TestTrace:
 
 class TestPathEqual:
     def test_path_equals_itself(self):
-        p = trace(TurnProgram((0, 1, 0), 90))
+        p = trace((0, 1, 0), 90)
         assert path_equal(p, p)
 
     def test_detects_turn_difference(self):
-        a = trace(TurnProgram((0, 0, 0), 90))
-        b = trace(TurnProgram((0, 1, 0), 90))
+        a = trace((0, 0, 0), 90)
+        b = trace((0, 1, 0), 90)
         assert not path_equal(a, b)
 
     def test_length_mismatch(self):
-        a = trace(TurnProgram((0, 0), 90))
-        b = trace(TurnProgram((0, 0, 0), 90))
+        a = trace((0, 0), 90)
+        b = trace((0, 0, 0), 90)
         assert not path_equal(a, b)
 
     def test_tolerance(self):
-        a = trace(TurnProgram((1, 1, 1), 120))
-        b = trace(TurnProgram((1, 1, 1), 120.0000001))
+        a = trace((1, 1, 1), 120)
+        b = trace((1, 1, 1), 120.0000001)
         assert path_equal(a, b, 1e-6)
         assert not path_equal(a, b, 0.0)
 
     def test_rejects_negative_tolerance(self):
-        p = trace(TurnProgram((0,), 90))
+        p = trace((0,), 90)
         with pytest.raises(ValueError):
             path_equal(p, p, -1.0)
 
 
 class TestToSvg:
     def test_single_segment_points(self):
-        path = trace(TurnProgram((0,), 90))
+        path = trace((0,), 90)
         svg = to_svg(path, margin=0.0)
         assert 'points="0.000000,0.000000 1.000000,0.000000"' in svg
 
     def test_document_shape(self):
-        svg = to_svg(trace(TurnProgram((0, 1, 0, 2), 90)))
+        svg = to_svg(trace((0, 1, 0, 2), 90))
         assert svg.startswith('<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
         assert 'version="1.1"' in svg
         assert svg.count("<polyline") == 1
@@ -179,7 +179,7 @@ class TestToSvg:
     def test_y_axis_flip(self):
         # A left turn (CCW, +y in math coords) must head up the screen,
         # i.e. toward smaller emitted y.
-        path = trace(TurnProgram((1, 0), 90))
+        path = trace((1, 0), 90)
         svg = to_svg(path, margin=0.0)
         pts = svg.split('points="')[1].split('"')[0].split()
         ys = [float(p.split(",")[1]) for p in pts]
@@ -188,7 +188,7 @@ class TestToSvg:
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_emits_one_point_per_vertex(self, terms):
-        path = trace(TurnProgram(tuple(terms), 90))
+        path = trace(terms, 90)
         svg = to_svg(path)
         pts = svg.split('points="')[1].split('"')[0].split()
         assert len(pts) == len(path.vertices)

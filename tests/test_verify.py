@@ -7,6 +7,7 @@ before any output, and the report lines stay fixed apart from timing.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import re
 import sys
@@ -15,9 +16,8 @@ from pathlib import Path
 import pytest
 
 import dragonsieve.verify as verify_mod
-from dragonsieve import ValuationSequence, generate_dci
+from dragonsieve import Failure, ValuationSequence, generate_dci, heighway_turns, levy_turns
 from dragonsieve.cli import main
-from dragonsieve.reports import Failure
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -71,6 +71,15 @@ class TestCheckIsolation:
             assert "expected=at least one case" in line
         assert lines[-1] == "FAIL"
 
+    def test_too_short_to_decimate_is_a_failure(self, capsys):
+        # Two terms leave nothing after keeping every third.
+        code, out, _ = run(capsys, "verify", "fractal", "--limit", "2", "--max-period", "1")
+        assert code == 1
+        assert without_timing(out).splitlines()[0] == (
+            "FAIL\tdecimation-self-containment-p2\tcases=0\t"
+            "first: index=0 expected=at least one case actual=0")
+        assert out.splitlines()[-1] == "FAIL"
+
 
 class TestRejectedArguments:
     @pytest.mark.parametrize("argv", [
@@ -79,6 +88,10 @@ class TestRejectedArguments:
         ("levy", "--iterations", "-1"),
         ("heighway", "--iterations", "0"),
         ("all", "--iterations", "-1"),
+        # A flag the chosen suite does not take.
+        ("levy", "--limit", "5", "--max-period", "3"),
+        ("sieve", "--limit", "100", "--iterations", "3"),
+        ("fractal", "--small", "--iterations", "3"),
     ])
     def test_exit_2_with_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
@@ -88,17 +101,22 @@ class TestRejectedArguments:
         assert err.startswith("error: ")
 
 
+def plant_in_v2(monkeypatch, index):
+    """Make `verify` see the p=2 valuation sequence with term ``index`` incremented."""
+    def corrupted_dci(p, m):
+        terms = generate_dci(p, m).terms
+        if p == 2:
+            terms[index - 1] += 1
+        return ValuationSequence(p, m, tuple(terms))
+
+    monkeypatch.setattr(verify_mod, "generate_dci", corrupted_dci)
+
+
 class TestPlantedDefect:
     BAD_INDEX = 37  # v2(37) = 0
 
     def test_first_bad_index_is_reported(self, capsys, monkeypatch):
-        def corrupted_dci(p, m):
-            terms = generate_dci(p, m).terms
-            if p == 2:
-                terms[self.BAD_INDEX - 1] += 1
-            return ValuationSequence(p, m, tuple(terms))
-
-        monkeypatch.setattr(verify_mod, "generate_dci", corrupted_dci)
+        plant_in_v2(monkeypatch, self.BAD_INDEX)
         code, out, _ = run(capsys, "verify", "valuations", "--limit", "100")
         lines = out.splitlines()
         assert code == 1
@@ -110,6 +128,45 @@ class TestPlantedDefect:
         assert lines[-1] == "FAIL"
         report = verify_mod.verify_valuations(100, bases=(2,))[0]
         assert report.failures == [Failure(self.BAD_INDEX, 0, 1)]
+
+    @pytest.mark.parametrize("bad_index,line", [
+        # Term 3 (v2 = 0) is decimated term 1.
+        (3, "FAIL\tdecimation-self-containment-p2\tcases=33\t"
+            "first: index=1 expected=0 actual=1"),
+        # Term 9 (v2 = 0) is twice-decimated term 1.
+        (9, "FAIL\tnested-decimation-p2\tcases=11\t"
+            "first: index=1 expected=0 actual=1"),
+    ])
+    def test_decimation_defect(self, capsys, monkeypatch, bad_index, line):
+        plant_in_v2(monkeypatch, bad_index)
+        code, out, _ = run(capsys, "verify", "fractal", "--limit", "100",
+                           "--max-period", "10")
+        assert code == 1
+        assert line in without_timing(out).splitlines()
+        assert out.splitlines()[-1] == "FAIL"
+
+    @pytest.mark.parametrize("suite,iterations,build,index,turn,line", [
+        # Levy turn 5 is v2(40) = 3.
+        ("levy", "3", levy_turns, 5, 4,
+         "FAIL\tlevy-turns-equal-v2-at-multiples-of-8\tcases=15\t"
+         "first: index=5 expected=3 actual=4"),
+        # Heighway turn 6 is the odd part of 6 mod 4 = 3.
+        ("heighway", "4", heighway_turns, 6, 1,
+         "FAIL\theighway-turns-equal-odd-part-mod-4\tcases=15\t"
+         "first: index=6 expected=3 actual=1"),
+    ])
+    def test_dragon_defect(self, capsys, monkeypatch, suite, iterations, build, index, turn,
+                           line):
+        def corrupted(iterations):
+            seq = build(iterations)
+            terms = list(seq.terms)
+            terms[index - 1] = turn
+            return dataclasses.replace(seq, terms=tuple(terms))
+
+        monkeypatch.setattr(verify_mod, build.__name__, corrupted)
+        code, out, _ = run(capsys, "verify", suite, "--iterations", iterations)
+        assert code == 1
+        assert without_timing(out).splitlines() == [line, "FAIL"]
 
 
 def test_small_output_matches_golden(capsys):

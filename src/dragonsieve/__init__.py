@@ -10,7 +10,6 @@ from .dragons import (
 from .fractal import (
     aperiodicity_witness,
     decimate_terms,
-    odd_part_decimation_indexes,
     reconstruct_odd_part,
 )
 from .render import PolylinePath, path_equal, to_svg, trace
@@ -55,7 +54,6 @@ __all__ = [
     "levy_turns",
     "next_candidate",
     "odd_even_parts",
-    "odd_part_decimation_indexes",
     "odd_part_mod4",
     "parse_b_file",
     "path_equal",

@@ -11,22 +11,31 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import verify as verify_mod
 from .bfile import read_b_file, write_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
+from .limits import require_memory
 from .render import reduce_mod, to_svg, trace
 from .sieve import format_table, read_factorization, run_sieve
-from .valuations import generate_dci, trial_division_factor
+from .valuations import generate_dci
 
 OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
 
-# Desk-scale defaults, overridable by flags.
-DEFAULT_SIEVE_LIMIT = 10**5
+# Desk-scale default, overridable by a flag.
 DEFAULT_RENDER_LIMIT = 10**4
+
+# Peak RSS growth per term of each command that holds a whole sequence, as
+# (what it builds, bytes): the largest ru_maxrss growth measured at 10^6 and
+# 10^7 terms (render: 10^5 and 10^6).  Checked before the command builds anything.
+_TERM_COSTS = {
+    "seq": ("a valuation sequence", 14),
+    "decimate": ("decimated rows", 88),
+    "oddpart": ("an odd-part sequence", 49),
+    "render": ("a trace", 271),
+}
 
 
 def _out_path(name: str) -> Path:
@@ -38,7 +47,13 @@ def _out_path(name: str) -> Path:
     return path
 
 
+def _require_terms(args) -> None:
+    what, nbytes = _TERM_COSTS[args.command]
+    require_memory(f"{what} of {args.limit} terms", nbytes * args.limit)
+
+
 def _cmd_seq(args) -> int:
+    _require_terms(args)
     write_b_file(generate_dci(args.p, args.limit).terms, sys.stdout)
     return 0
 
@@ -60,9 +75,9 @@ def _cmd_factor(args) -> int:
 def _cmd_decimate(args) -> int:
     if args.levels < 0:
         raise ValueError(f"levels must be non-negative, got {args.levels}")
-    seq = generate_dci(args.p, args.limit)
-    rows = [("Original", seq.terms)]
-    current = seq.terms
+    _require_terms(args)
+    current = generate_dci(args.p, args.limit).terms
+    rows = [("Original", current)]
     for level in range(args.levels):
         current = decimate_terms(current, args.p)
         label = "Decimated" if args.levels == 1 else f"Decimated x{level + 1}"
@@ -83,6 +98,7 @@ def _cmd_heighway(args) -> int:
 
 
 def _cmd_oddpart(args) -> int:
+    _require_terms(args)
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
         terms = [t % 4 for t in terms]
@@ -97,6 +113,7 @@ def _cmd_render(args) -> int:
         if args.p is None:
             print("render: either --p or --from-file is required", file=sys.stderr)
             return 2
+        _require_terms(args)
         terms = generate_dci(args.p, args.limit).terms
     if args.mod is not None:
         terms = reduce_mod(terms, args.mod)
@@ -132,23 +149,6 @@ def _cmd_verify(args) -> int:
     ok = all(report.passed for report in reports)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _cmd_bench(args) -> int:
-    limit = args.limit
-    t0 = time.perf_counter()
-    run_sieve(limit)
-    sieve_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for n in range(2, limit + 1):
-        trial_division_factor(n)
-    trial_s = time.perf_counter() - t0
-
-    sys.stdout.write("task,limit,seconds\n")
-    sys.stdout.write(f"dci-sieve-all-rows,{limit},{sieve_s:.6f}\n")
-    sys.stdout.write(f"trial-division-all-n,{limit},{trial_s:.6f}\n")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-period", type=int, default=None)
     p.add_argument("--small", action="store_true", help="desk-scale quick limits")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="time sieve rows vs trial division; CSV output")
-    p.add_argument("--limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -3,7 +3,7 @@
 Decimation keeps every (p+1)-th term; a valuation sequence survives that
 selection unchanged, which together with per-period aperiodicity witnesses
 is what certifies the sequence as fractal (``verify`` makes both checks).
-The odd-part index families and reconstruction live here too.
+The odd-part reconstruction lives here too.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ def aperiodicity_witness(terms: Sequence[int], q: int) -> int | None:
         if terms[i] != terms[i + q]:
             return i + 1
     return None
-
-
-def odd_part_decimation_indexes(j: int, count: int) -> list[int]:
-    """First ``count`` indexes of the form o * 2**j with o odd, ascending."""
-    if j < 0:
-        raise ValueError(f"level must be non-negative, got {j}")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    return [(2 * k - 1) << j for k in range(1, count + 1)]
 
 
 def reconstruct_odd_part(max_index: int) -> list[int]:

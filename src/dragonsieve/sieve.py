@@ -6,6 +6,8 @@ multiples of p up to the width m (all zero when p*p > m).  The table is three
 flat columns set by stepped slices: ``exp`` (the entry; 0 marks a column no
 row reaches), ``top`` (the prime, the largest so far, as primes come in
 order) and ``rest`` (k, a link to column h/p, read down to 1 to factor).
+Each row's terms go in as bytes: ``exp`` takes a translated slice of them
+and ``rest`` a slice of one multiplier array 0..K built with the table.
 The one division is CPython's, to find the length of a stepped slice or
 ``range``; nothing in this module divides.  Full rows are never stored.
 """
@@ -18,15 +20,17 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .limits import require_memory
-from .valuations import ValuationSequence, generate_dci
+from .valuations import PLUS_ONE, ValuationSequence, generate_dci
 
 _LINK = "I"  # typecode of ``top`` and ``rest``, which hold values up to m
 _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
-# Peak bytes per column of run_sieve: the store, and row 2 (<= m terms) as list and tuple.
-_BYTES_PER_COLUMN = 1 + 2 * array(_LINK).itemsize + 16
+# Peak RSS growth per column of run_sieve, measured 15.3 at m = 10^6 and 15.5 at
+# 10^7: the store (9), the multipliers (2), the prime list (about 2.8, falling
+# slowly with m) and row 2 as bytes with its translated copy (about 1.5).
+_BYTES_PER_COLUMN = 16
 # Peak bytes per cell of format_table: the rows, their join and the final copy, ~2 each.
 _BYTES_PER_CELL = 6
-_PLUS_ONE = bytes(range(1, 256)) + b"\xff"  # translate table; terms stay far below 255
+_TERM_TEXT = [str(t) for t in range(256)]  # the TSV cell of each byte term
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,8 @@ class SieveTable:
         self._exp = bytearray(m + 1)
         self._top = array(_LINK, [0]) * (m + 1)
         self._rest = array(_LINK, [0]) * (m + 1)
+        # Multipliers 0..K for the largest K, p = 2's; sized by a range, not m // 2.
+        self._ks = array(_LINK, range(len(range(2, m + 1, 2)) + 1))
         self._scan_from = 2
 
     @property
@@ -76,9 +82,9 @@ class SieveTable:
         if self._primes and p <= self._primes[-1]:
             raise ValueError(f"rows are placed in increasing order; {p} follows {self._primes[-1]}")
         self._primes.append(p)
-        self._exp[p::p] = bytes(row.terms[:count]).translate(_PLUS_ONE)
+        self._exp[p::p] = row._full[:count].translate(PLUS_ONE)
         self._top[p::p] = array(_LINK, [p]) * count
-        self._rest[p::p] = array(_LINK, range(1, count + 1))
+        self._rest[p::p] = self._ks[1 : count + 1]
 
     def place_unit_row(self, p: int) -> None:
         """Same as `place_row` with the generated row; kept for callers of its old name."""
@@ -120,7 +126,7 @@ def format_table(table: SieveTable) -> str:
     """The table as tab-separated text: header row, then one row per prime."""
     cells = (len(table._primes) + 1) * table.m
     require_memory(f"the text of a sieve table of {cells} cells", _BYTES_PER_CELL * cells)
-    lines = ["\t" + "\t".join(str(n) for n in range(1, table.m + 1))]
+    lines = ["\t" + "\t".join(map(str, range(1, table.m + 1)))]
     for p, row in table.rows():
-        lines.append(f"{p}\t" + "\t".join(str(t) for t in row.terms))
+        lines.append(f"{p}\t" + "\t".join(map(_TERM_TEXT.__getitem__, row._full)))
     return "\n".join(lines) + "\n"

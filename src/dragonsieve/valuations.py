@@ -1,7 +1,8 @@
 """p-adic valuation sequences built by duplicate-concatenate-increment.
 
-The generator in this module never divides: each sequence grows by list
-copying plus a single increment per round.  The division-based functions
+The generator in this module never divides: each sequence is a run of
+bytes (every term is a valuation below 64) that grows by copying the run
+plus a single increment per round.  The division-based functions
 (`valuation_oracle`, `odd_even_parts`, the trial-division helpers) are the
 independent reference side used to cross-check the division-free
 construction, so keep the two halves separate.
@@ -12,6 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+# bytes.translate table adding 1 to a term; terms stay far below 255.
+PLUS_ONE = bytes(range(1, 256)) + b"\xff"
+
 
 @dataclass(frozen=True)
 class ValuationSequence:
@@ -19,7 +23,7 @@ class ValuationSequence:
 
     p: int
     m: int
-    _full: tuple[int, ...] = field(repr=False)
+    _full: bytes = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.p < 2:
@@ -33,12 +37,6 @@ class ValuationSequence:
     def terms(self) -> list[int]:
         """The terms, as a fresh list of length ``m``."""
         return list(self._full)
-
-    def term(self, n: int) -> int:
-        """The term at 1-based index ``n``."""
-        if not 1 <= n <= self.m:
-            raise IndexError(f"index {n} outside 1..{self.m}")
-        return self._full[n - 1]
 
     def __len__(self) -> int:
         return self.m
@@ -56,13 +54,13 @@ def generate_dci(p: int, m: int) -> ValuationSequence:
         raise ValueError(f"base must be at least 2, got {p}")
     if m < 1:
         raise ValueError(f"length must be at least 1, got {m}")
-    seq = [0]
+    seq = bytearray(1)
     while len(seq) * p <= m:
-        seq = seq * p  # p-1 copies appended end-to-end
+        seq *= p  # p-1 copies appended end-to-end
         seq[-1] += 1
     while len(seq) < m:
         seq += seq[: m - len(seq)]
-    return ValuationSequence(p, m, tuple(seq))
+    return ValuationSequence(p, m, bytes(seq))
 
 
 def valuation_oracle(p: int, n: int) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,11 +232,25 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
-class TestBenchCommand:
-    def test_csv_report(self, capsys):
-        code, out, _ = run(capsys, "bench", "--limit", "2000")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "task,limit,seconds"
-        assert lines[1].startswith("dci-sieve-all-rows,2000,")
-        assert lines[2].startswith("trial-division-all-n,2000,")
+class TestSequenceSizeGuards:
+    @pytest.mark.parametrize("argv", [
+        ["seq", "--p", "2"],
+        ["decimate", "--p", "2"],
+        ["oddpart"],
+        ["render", "--p", "2", "-o", "sub/x.svg"],
+    ], ids=lambda argv: argv[0])
+    def test_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        # 64 KiB holds none of these commands' 200000 terms; nothing is built.
+        report_physical_memory(monkeypatch, 2**16)
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--limit", "200000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "of 200000 terms would not fit" in err
+        assert len(err.splitlines()) == 1
+        assert peak < 10**5
+        assert not (tmp_path / "sub").exists()

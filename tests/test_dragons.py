@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dragonsieve import (
     heighway_turns,
@@ -60,6 +62,12 @@ class TestLevyTheorem:
         assert len(terms) == 2047
         assert terms == tuple(valuation_oracle(2, 8 * i) for i in range(1, 2048))
 
+    @given(j=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=16, deadline=None)
+    def test_matches_oracle(self, j):
+        terms = levy_turns(j).terms
+        assert terms == tuple(valuation_oracle(2, 8 * i) for i in range(1, 2 ** (j + 1)))
+
 
 class TestHeighwayTurns:
     def test_one_iteration(self):
@@ -102,3 +110,9 @@ class TestHeighwayEquivalence:
         terms = heighway_turns(16).terms
         assert len(terms) == 65535
         assert terms == tuple(odd_part_mod4(n) for n in range(1, 65536))
+
+    @given(j=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=16, deadline=None)
+    def test_matches_oracle(self, j):
+        terms = heighway_turns(j).terms
+        assert terms == tuple(odd_part_mod4(n) for n in range(1, 2**j))

@@ -9,7 +9,6 @@ from dragonsieve import (
     decimate_terms,
     generate_dci,
     odd_even_parts,
-    odd_part_decimation_indexes,
     reconstruct_odd_part,
 )
 
@@ -25,7 +24,7 @@ class TestDecimate:
 
     def test_exact_p_plus_1_keeps_one_term(self):
         seq = generate_dci(5, 6)
-        assert decimate_terms(seq.terms, 5) == [seq.term(6)]
+        assert decimate_terms(seq.terms, 5) == [seq.terms[6 - 1]]
 
     def test_too_short_gives_empty(self):
         assert decimate_terms(generate_dci(5, 4).terms, 5) == []
@@ -97,29 +96,38 @@ class TestAperiodicityWitness:
 
 
 class TestOddPartDecimationIndexes:
+    """The index families o * 2**j (o odd) as `reconstruct_odd_part` fills them."""
+
+    @staticmethod
+    def family(j, count):
+        """The indexes where reconstruction placed o = 1, 3, ..., 2 * count - 1 at level j."""
+        out = reconstruct_odd_part((2 * count - 1) << j)
+        return [n for n in range(1, len(out) + 1) if out[n - 1] << j == n]
+
     def test_level_0_is_odd_numbers(self):
-        assert odd_part_decimation_indexes(0, 4) == [1, 3, 5, 7]
+        assert self.family(0, 4) == [1, 3, 5, 7]
 
     def test_level_1(self):
-        assert odd_part_decimation_indexes(1, 3) == [2, 6, 10]
+        assert self.family(1, 3) == [2, 6, 10]
 
     def test_level_3(self):
-        assert odd_part_decimation_indexes(3, 2) == [8, 24]
+        assert self.family(3, 2) == [8, 24]
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            odd_part_decimation_indexes(-1, 3)
+            reconstruct_odd_part(-1)
         with pytest.raises(ValueError):
-            odd_part_decimation_indexes(0, 0)
+            reconstruct_odd_part(0)
 
     @given(count=st.integers(min_value=1, max_value=200))
     @settings(max_examples=50)
     def test_levels_partition_initial_segment(self, count):
         # Index families over j partition 1..count exactly once.
+        out = reconstruct_odd_part(count)
         seen = []
         j = 0
         while 1 << j <= count:
-            seen.extend(i for i in odd_part_decimation_indexes(j, count) if i <= count)
+            seen.extend(n for n in range(1, count + 1) if out[n - 1] << j == n)
             j += 1
         assert sorted(seen) == list(range(1, count + 1))
 

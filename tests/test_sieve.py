@@ -14,11 +14,14 @@ from dragonsieve import (
     SieveTable,
     format_table,
     generate_dci,
+    heighway_turns,
+    levy_turns,
     next_candidate,
     primes_by_trial_division,
     read_factorization,
     run_sieve,
     trial_division_factor,
+    valuation_oracle,
 )
 from dragonsieve import sieve
 
@@ -26,7 +29,7 @@ from dragonsieve import sieve
 def literal_next(rows, m):
     """Oracle: scan full rows column by column for the first all-zero column > 1."""
     for h in range(2, m + 1):
-        if all(row.term(h) == 0 for row in rows.values()):
+        if all(row[h - 1] == 0 for row in rows.values()):
             return h
     return None
 
@@ -35,13 +38,13 @@ def literal_sieve(m):
     """Oracle: the sieve with every row placed at full width m, columns scanned literally."""
     rows = {}
     while (p := literal_next(rows, m)) is not None:
-        rows[p] = generate_dci(p, m)
+        rows[p] = generate_dci(p, m).terms
     return rows
 
 
 def literal_factors(rows, n):
     """Oracle: column n's positive entries, paired with their rows, in row order."""
-    return tuple((p, row.term(n)) for p, row in rows.items() if row.term(n) > 0)
+    return tuple((p, row[n - 1]) for p, row in rows.items() if row[n - 1] > 0)
 
 
 class TestRunSieve:
@@ -91,7 +94,7 @@ class TestNextCandidate:
     def test_exhausted_at_16(self):
         table = run_sieve(16)
         assert next_candidate(table) is None
-        assert literal_next(dict(table.rows()), 16) is None
+        assert literal_next({p: row.terms for p, row in table.rows()}, 16) is None
 
     def test_scan_resumes_where_it_stopped(self):
         table = SieveTable(10)
@@ -172,6 +175,15 @@ class TestFormatTable:
             cells = line.split("\t")
             exps[int(cells[0])] = int(cells[n])
         assert math.prod(p**e for p, e in exps.items()) == n
+
+    def test_width_2048_matches_division(self):
+        # Covers the two-digit cells v2(1024) = 10 and v2(2048) = 11.
+        m = 2048
+        numbers = range(1, m + 1)
+        lines = ["\t" + "\t".join(str(n) for n in numbers)]
+        for p in primes_by_trial_division(m):
+            lines.append(f"{p}\t" + "\t".join(str(valuation_oracle(p, n)) for n in numbers))
+        assert format_table(run_sieve(m)) == "\n".join(lines) + "\n"
 
 
 class TestPlaceRow:
@@ -266,6 +278,10 @@ class TestDivisionFree:
 
     def test_generate_dci_does_not_divide(self):
         assert list(_divisions(ast.parse(inspect.getsource(generate_dci)))) == []
+
+    @pytest.mark.parametrize("construction", [levy_turns, heighway_turns])
+    def test_dragon_constructions_do_not_divide(self, construction):
+        assert list(_divisions(ast.parse(inspect.getsource(construction)))) == []
 
     def test_detector_sees_each_form(self):
         src = "a / b\na // b\na % b\nx //= 2\nx %= 3\ndivmod(a, b)\nmath.divmod(a, b)"

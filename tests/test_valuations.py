@@ -39,19 +39,18 @@ class TestGenerateDci:
             generate_dci(2, 0)
 
     def test_one_based_term_access(self):
-        seq = generate_dci(2, 16)
-        assert seq.term(1) == 0
-        assert seq.term(16) == 4
+        terms = generate_dci(2, 16).terms  # term n at position n - 1
+        assert terms[1 - 1] == 0
+        assert terms[16 - 1] == 4
+        assert len(terms) == 16
         with pytest.raises(IndexError):
-            seq.term(0)
-        with pytest.raises(IndexError):
-            seq.term(17)
+            terms[17 - 1]
 
     def test_holds_exactly_m_terms(self):
         with pytest.raises(ValueError):
-            ValuationSequence(2, 3, (0, 1, 0, 2))
+            ValuationSequence(2, 3, bytes((0, 1, 0, 2)))
         with pytest.raises(ValueError):
-            ValuationSequence(2, 3, (0, 1))
+            ValuationSequence(2, 3, bytes((0, 1)))
 
     @given(p=st.sampled_from([*SMALL_PRIMES, 997]), m=st.integers(min_value=1, max_value=5000))
     @example(p=2, m=4096)
@@ -81,10 +80,10 @@ class TestGenerateDci:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_power_positions(self, p):
         m = p**4
-        seq = generate_dci(p, m)
+        terms = generate_dci(p, m).terms
         j = 1
         while p**j <= m:
-            assert seq.term(p**j) == j
+            assert terms[p**j - 1] == j
             j += 1
 
 
@@ -107,9 +106,9 @@ class TestValuationOracle:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_matches_dci(self, p):
         m = 2000
-        seq = generate_dci(p, m)
+        terms = generate_dci(p, m).terms
         for n in range(1, m + 1):
-            assert seq.term(n) == valuation_oracle(p, n)
+            assert terms[n - 1] == valuation_oracle(p, n)
 
     @given(p=st.sampled_from(SMALL_PRIMES), n=st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=200)

@@ -107,7 +107,7 @@ def plant_in_v2(monkeypatch, index):
         terms = generate_dci(p, m).terms
         if p == 2:
             terms[index - 1] += 1
-        return ValuationSequence(p, m, tuple(terms))
+        return ValuationSequence(p, m, bytes(terms))
 
     monkeypatch.setattr(verify_mod, "generate_dci", corrupted_dci)
 

@@ -12,7 +12,7 @@ from .fractal import (
     decimate_terms,
     reconstruct_odd_part,
 )
-from .render import PolylinePath, path_equal, to_svg, trace
+from .render import PolylinePath, path_equal, to_svg, trace, write_svg
 from .sieve import (
     Factorization,
     SieveTable,
@@ -67,4 +67,5 @@ __all__ = [
     "trial_division_factor",
     "valuation_oracle",
     "write_b_file",
+    "write_svg",
 ]

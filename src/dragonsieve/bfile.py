@@ -11,10 +11,32 @@ from typing import Iterable, Sequence, TextIO
 
 # Terms formatted per write; bounds the text held at once to about 1 MB.
 _CHUNK = 1 << 16
+_SUFFIXES = [f"{i:03d} " for i in range(1000)]  # the last three digits of an index
+_BYTE_CELLS = [f"{t}\n" for t in range(256)]  # the value column of each byte term
 
 
 def format_b_file(terms: Sequence[int], start: int = 1) -> str:
-    return "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=start))
+    """The b-file text of ``terms``, the first at index ``start``.
+
+    Each line is three strings: a prefix, a suffix and the value's cell.
+    In a block of indexes 1000k..1000k+999 the prefix is str(k), shared by
+    the block, and the suffix comes from a table.  Indexes below 1000, and
+    those before the first block, have the whole index as prefix and no
+    suffix.  The columns are slice-assigned into one list, joined once.
+    """
+    n = len(terms)
+    parts = [""] * (3 * n)
+    if isinstance(terms, (bytes, bytearray)):
+        parts[2::3] = map(_BYTE_CELLS.__getitem__, terms)
+    else:
+        parts[2::3] = [f"{t}\n" for t in terms]
+    head = min(n, max(-(-start // 1000), 1) * 1000 - start)
+    parts[0 : 3 * head : 3] = map("{} ".format, range(start, start + head))
+    for j in range(head, n, 1000):
+        k = min(1000, n - j)
+        parts[3 * j : 3 * (j + k) : 3] = [str((start + j) // 1000)] * k
+        parts[3 * j + 1 : 3 * (j + k) : 3] = _SUFFIXES[:k]
+    return "".join(parts)
 
 
 def write_b_file(terms: Sequence[int], out: TextIO, start: int = 1) -> None:

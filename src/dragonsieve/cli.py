@@ -18,9 +18,9 @@ from .bfile import read_b_file, write_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
 from .limits import require_memory
-from .render import reduce_mod, to_svg, trace
+from .render import CHUNK as SVG_CHUNK, check_walk, reduce_mod, write_svg
 from .sieve import format_table, read_factorization, run_sieve
-from .valuations import generate_dci
+from .valuations import TERM_TEXT, generate_dci
 
 OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
 
@@ -29,13 +29,18 @@ DEFAULT_RENDER_LIMIT = 10**4
 
 # Peak RSS growth per term of each command that holds a whole sequence, as
 # (what it builds, bytes): the largest ru_maxrss growth measured at 10^6 and
-# 10^7 terms (render: 10^5 and 10^6).  Checked before the command builds anything.
+# 10^7 terms (render: 10^5 and 10^6, less the SVG writer's chunk; its largest
+# is `--from-file --mod`, whose terms are lists).  Checked before the command
+# builds anything, or for `render --from-file` before it writes.
 _TERM_COSTS = {
-    "seq": ("a valuation sequence", 14),
-    "decimate": ("decimated rows", 88),
+    "seq": ("a valuation sequence", 4),
+    "decimate": ("decimated rows", 18),
     "oddpart": ("an odd-part sequence", 49),
-    "render": ("a trace", 271),
+    "render": ("a trace", 16),
 }
+# Peak bytes per vertex of the chunk that `write_svg` holds (its point strings
+# and their joins), measured 116-121: render adds min(n + 1, chunk) of them.
+_SVG_BYTES_PER_VERTEX = 128
 
 
 def _out_path(name: str) -> Path:
@@ -47,14 +52,17 @@ def _out_path(name: str) -> Path:
     return path
 
 
-def _require_terms(args) -> None:
-    what, nbytes = _TERM_COSTS[args.command]
-    require_memory(f"{what} of {args.limit} terms", nbytes * args.limit)
+def _require_terms(command: str, n: int) -> None:
+    what, per_term = _TERM_COSTS[command]
+    nbytes = per_term * n
+    if command == "render":
+        nbytes += _SVG_BYTES_PER_VERTEX * min(n + 1, SVG_CHUNK)
+    require_memory(f"{what} of {n} terms", nbytes)
 
 
 def _cmd_seq(args) -> int:
-    _require_terms(args)
-    write_b_file(generate_dci(args.p, args.limit).terms, sys.stdout)
+    _require_terms("seq", args.limit)
+    write_b_file(bytes(generate_dci(args.p, args.limit)), sys.stdout)
     return 0
 
 
@@ -75,30 +83,32 @@ def _cmd_factor(args) -> int:
 def _cmd_decimate(args) -> int:
     if args.levels < 0:
         raise ValueError(f"levels must be non-negative, got {args.levels}")
-    _require_terms(args)
-    current = generate_dci(args.p, args.limit).terms
+    _require_terms("decimate", args.limit)
+    current = bytes(generate_dci(args.p, args.limit))
     rows = [("Original", current)]
     for level in range(args.levels):
         current = decimate_terms(current, args.p)
         label = "Decimated" if args.levels == 1 else f"Decimated x{level + 1}"
         rows.append((label, current))
-    for label, terms in rows:
-        sys.stdout.write(label + ":\t" + ", ".join(str(t) for t in terms) + "\n")
+    for label, terms in rows:  # in three writes, so the row's text is not copied
+        sys.stdout.write(label + ":\t")
+        sys.stdout.write(", ".join(map(TERM_TEXT.__getitem__, terms)))
+        sys.stdout.write("\n")
     return 0
 
 
 def _cmd_levy(args) -> int:
-    write_b_file(levy_turns(args.iterations).terms, sys.stdout)
+    write_b_file(bytes(levy_turns(args.iterations).terms), sys.stdout)
     return 0
 
 
 def _cmd_heighway(args) -> int:
-    write_b_file(heighway_turns(args.iterations).terms, sys.stdout)
+    write_b_file(bytes(heighway_turns(args.iterations).terms), sys.stdout)
     return 0
 
 
 def _cmd_oddpart(args) -> int:
-    _require_terms(args)
+    _require_terms("oddpart", args.limit)
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
         terms = [t % 4 for t in terms]
@@ -109,18 +119,20 @@ def _cmd_oddpart(args) -> int:
 def _cmd_render(args) -> int:
     if args.from_file:
         terms = read_b_file(args.from_file)
+        _require_terms("render", len(terms))
     else:
         if args.p is None:
             print("render: either --p or --from-file is required", file=sys.stderr)
             return 2
-        _require_terms(args)
-        terms = generate_dci(args.p, args.limit).terms
+        _require_terms("render", args.limit)
+        terms = bytes(generate_dci(args.p, args.limit))
     if args.mod is not None:
         terms = reduce_mod(terms, args.mod)
     mapping = "categorical-mod4" if args.mapping == "mod4" else "ccw-count"
-    path = trace(terms, args.angle, mapping, args.clockwise)
+    check_walk(terms, args.angle, mapping)  # before the output file exists
     out = _out_path(args.output)
-    out.write_text(to_svg(path, stroke_width=args.stroke_width), encoding="utf-8")
+    with out.open("w", encoding="utf-8") as fh:
+        write_svg(terms, fh, args.angle, mapping, args.clockwise, stroke_width=args.stroke_width)
     print(f"wrote {out}")
     return 0
 

@@ -20,17 +20,16 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .limits import require_memory
-from .valuations import PLUS_ONE, ValuationSequence, generate_dci
+from .valuations import PLUS_ONE, TERM_TEXT, ValuationSequence, generate_dci
 
 _LINK = "I"  # typecode of ``top`` and ``rest``, which hold values up to m
 _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
-# Peak RSS growth per column of run_sieve, measured 15.3 at m = 10^6 and 15.5 at
-# 10^7: the store (9), the multipliers (2), the prime list (about 2.8, falling
-# slowly with m) and row 2 as bytes with its translated copy (about 1.5).
-_BYTES_PER_COLUMN = 16
+# Peak RSS growth per column of run_sieve, measured 13.5 at m = 10^6 and 10^7:
+# the store (9), the multipliers (2), row 2 as bytes with its translated copy
+# (about 1.5) and the primes, 4 bytes each (about 0.3).
+_BYTES_PER_COLUMN = 14
 # Peak bytes per cell of format_table: the rows, their join and the final copy, ~2 each.
 _BYTES_PER_CELL = 6
-_TERM_TEXT = [str(t) for t in range(256)]  # the TSV cell of each byte term
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class SieveTable:
             raise ValueError(f"table width {m} exceeds the column store's limit {_MAX_WIDTH}")
         require_memory(f"a sieve table of width {m}", _BYTES_PER_COLUMN * m)
         self.m = m
-        self._primes: list[int] = []
+        self._primes = array(_LINK)
         self._exp = bytearray(m + 1)
         self._top = array(_LINK, [0]) * (m + 1)
         self._rest = array(_LINK, [0]) * (m + 1)
@@ -128,5 +127,5 @@ def format_table(table: SieveTable) -> str:
     require_memory(f"the text of a sieve table of {cells} cells", _BYTES_PER_CELL * cells)
     lines = ["\t" + "\t".join(map(str, range(1, table.m + 1)))]
     for p, row in table.rows():
-        lines.append(f"{p}\t" + "\t".join(map(_TERM_TEXT.__getitem__, row._full)))
+        lines.append(f"{p}\t" + "\t".join(map(TERM_TEXT.__getitem__, row._full)))
     return "\n".join(lines) + "\n"

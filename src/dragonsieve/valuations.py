@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 # bytes.translate table adding 1 to a term; terms stay far below 255.
 PLUS_ONE = bytes(range(1, 256)) + b"\xff"
+# The decimal text of each byte term, for writing terms through ``map``.
+TERM_TEXT = [str(t) for t in range(256)]
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,10 @@ class ValuationSequence:
 
     def __len__(self) -> int:
         return self.m
+
+    def __bytes__(self) -> bytes:
+        """The terms as they are held, one byte each; ``bytes(seq)`` makes no copy."""
+        return self._full
 
 
 def generate_dci(p: int, m: int) -> ValuationSequence:

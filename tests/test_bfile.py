@@ -16,3 +16,13 @@ def test_parse_inverts_format(terms, start):
 def test_non_consecutive_index_names_its_line():
     with pytest.raises(ValueError, match="^b-file line 3: non-consecutive index 3, expected 2$"):
         parse_b_file(["# header\n", "1 0\n", "3 0\n"])
+
+
+@pytest.mark.parametrize("start", [1, 2, 999, 1000, 1001, 65537])
+@pytest.mark.parametrize("n", [0, 1, 12_345, 34_500])  # past 1000 and 10^4; 65537 passes 10^5
+@pytest.mark.parametrize("kind", [bytes, list, tuple])
+def test_block_format_equals_line_by_line(start, n, kind):
+    # Lists and tuples take negative terms and terms above 255.
+    terms = bytes(i % 256 for i in range(n)) if kind is bytes else kind(range(-999, 7 * n - 999, 7))
+    want = "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=start))
+    assert format_b_file(terms, start) == want

@@ -174,6 +174,23 @@ class TestRenderCommand:
         assert len(err.splitlines()) == 1
         assert not out_file.parent.exists()
 
+    @pytest.mark.parametrize("flags,memory,message", [
+        (["--angle", "200"], None, "error: angle must be within"),
+        ([], 2**16, "error: a trace of 1000 terms would not fit in physical memory"),
+    ], ids=["bad-angle", "beyond-memory"])
+    def test_rejected_from_file_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                               flags, memory, message):
+        src = tmp_path / "terms.bfile"
+        src.write_text(format_b_file(bytes(1000)))
+        if memory:
+            report_physical_memory(monkeypatch, memory)
+        out_file = tmp_path / "sub" / "x.svg"
+        code, out, err = run(capsys, "render", "--from-file", str(src), *flags,
+                             "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1
+        assert not out_file.parent.exists()
+
     def test_missing_source_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "render", "-o", str(tmp_path / "x.svg"))
         assert code == 2

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import io
 import math
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonsieve import generate_dci, path_equal, to_svg, trace
+from dragonsieve import generate_dci, path_equal, to_svg, trace, write_svg
 from dragonsieve.render import reduce_mod
 
 # CCW quarter-turn rotation applied h times, for lattice normalization.
@@ -192,3 +195,55 @@ class TestToSvg:
         svg = to_svg(path)
         pts = svg.split('points="')[1].split('"')[0].split()
         assert len(pts) == len(path.vertices)
+
+
+class TestWriteSvg:
+    @given(
+        terms=st.lists(st.integers(min_value=0, max_value=255)
+                       | st.integers(min_value=-10**6, max_value=10**6),
+                       min_size=1, max_size=200),
+        angle=st.sampled_from([90, 180, 120, 135, 72, 60, 47.3]),
+        mapping=st.sampled_from(["ccw-count", "categorical-mod4"]),
+        clockwise=st.booleans(),
+        stroke_width=st.sampled_from([1.0, 0.4, 3]),
+        margin=st.sampled_from([8.0, 0.0, 2.5]),
+    )
+    @settings(max_examples=200)
+    def test_streams_the_document_of_the_trace(self, terms, angle, mapping, clockwise,
+                                               stroke_width, margin):
+        out = io.StringIO()
+        write_svg(terms, out, angle, mapping, clockwise,
+                  stroke_width=stroke_width, margin=margin)
+        path = trace(terms, angle, mapping, clockwise)
+        assert out.getvalue() == to_svg(path, stroke_width=stroke_width, margin=margin)
+
+    def test_spans_point_chunks(self):
+        # More vertices than one chunk, as bytes, the form the CLI passes.
+        terms = bytes(generate_dci(3, 20000))
+        out = io.StringIO()
+        write_svg(terms, out, 120, clockwise=True)
+        assert out.getvalue() == to_svg(trace(terms, 120, clockwise=True))
+
+    @pytest.mark.parametrize("terms,angle,mapping,match", [
+        ((), 90, "ccw-count", "no terms to trace"),
+        ((0, 1), 181, "ccw-count", "angle must be within"),
+        ((0, 1), 90, "spin", "unknown mapping 'spin'"),
+    ])
+    def test_rejects_before_writing(self, terms, angle, mapping, match):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=match):
+            write_svg(terms, out, angle, mapping)
+        assert out.getvalue() == ""
+
+    def test_peak_memory_does_not_grow_with_the_walk(self):
+        def peak(n):
+            terms = bytes(generate_dci(2, n))
+            with open(os.devnull, "w", encoding="utf-8") as out:
+                tracemalloc.start()
+                try:
+                    write_svg(terms, out, 120)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak(4 * 10**5) < 2 * peak(10**5)

@@ -46,27 +46,43 @@ def write_b_file(terms: Sequence[int], out: TextIO, start: int = 1) -> None:
 
 
 def parse_b_file(lines: Iterable[str]) -> list[int]:
-    """Parse b-file lines into a term list, checking the index column."""
+    """Parse b-file lines into a term list, checking the index column.
+
+    Blank lines and lines starting with ``#`` are skipped.  A line is first
+    read as two integers, and only a line that is not is stripped and looked
+    at again, so the usual line costs one ``try``.
+    """
     terms: list[int] = []
+    append = terms.append
     expected = None
-    for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in enumerate(lines, start=1):
         try:
             idx_s, val_s = line.split()
             idx, val = int(idx_s), int(val_s)
         except ValueError:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
             raise ValueError(f"b-file line {number}: expected '<index> <value>' "
                              f"as two integers, got {line!r}") from None
         if expected is not None and idx != expected:
             raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
                              f"expected {expected}")
         expected = idx + 1
-        terms.append(val)
+        append(val)
     return terms
 
 
 def read_b_file(path: str | Path) -> list[int]:
     with open(path, encoding="ascii") as fh:
         return parse_b_file(fh)
+
+
+def _first_index(path: str | Path) -> tuple[int, int] | None:
+    """(line number, index) of the first term line of a b-file, or None if it has none."""
+    with open(path, encoding="ascii") as fh:
+        for number, line in enumerate(fh, start=1):
+            fields = line.split()
+            if fields and not fields[0].startswith("#"):
+                return number, int(fields[0])
+    return None

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import verify as verify_mod
-from .bfile import read_b_file, write_b_file
+from .bfile import _first_index, read_b_file, write_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
 from .limits import require_memory
@@ -38,9 +38,11 @@ _TERM_COSTS = {
     "oddpart": ("an odd-part sequence", 49),
     "render": ("a trace", 16),
 }
-# Peak bytes per vertex of the chunk that `write_svg` holds (its point strings
-# and their joins), measured 116-121: render adds min(n + 1, chunk) of them.
-_SVG_BYTES_PER_VERTEX = 128
+# Peak bytes per vertex of the chunk that `write_svg` holds (its x and y
+# columns, the shifted flat list, its tuple and the chunk's text): 211-238
+# under tracemalloc, and 272 so that with 16 B/term it also bounds the RSS
+# growth of `render --from-file` at 10^5 terms.  Render adds min(n + 1, chunk).
+_SVG_BYTES_PER_VERTEX = 272
 
 
 def _out_path(name: str) -> Path:
@@ -119,6 +121,10 @@ def _cmd_oddpart(args) -> int:
 def _cmd_render(args) -> int:
     if args.from_file:
         terms = read_b_file(args.from_file)
+        first = _first_index(args.from_file)
+        if first and first[1] != 1:  # an OEIS offset other than 1, such as A014577's 0
+            raise ValueError(f"b-file line {first[0]}: first index {first[1]}, "
+                             "but render reads b-files from index 1")
         _require_terms("render", len(terms))
     else:
         if args.p is None:

@@ -5,10 +5,18 @@ the unit's order around the circle (finite for every float or fraction
 angle), so rotation never accumulates floating error.  At 90 and 180
 degrees the walk stays on the integer lattice and coordinates are exact.
 
-One generator walks the terms.  `trace` keeps its vertices as a
-`PolylinePath`, which `to_svg` renders.  `write_svg` writes the same
-document without keeping them: it walks once for the bounding box and once
-more for the points, which go to the stream a chunk at a time.
+One generator walks the terms, ``CHUNK`` vertices at a time, as an x
+column and a y column.  No vertex is visited by Python bytecode: headings
+are a running sum of the turns reduced by the order, unit vectors come from
+per-axis tables (exact ints on the lattice, filled lazily elsewhere), and
+coordinates are running sums of the unit vectors, so every float addition
+is the one a per-vertex loop would make, in the same order.  `trace` keeps
+the vertices as a `PolylinePath`, which `to_svg` renders.  `write_svg`
+writes the same document without keeping them: it walks once for the
+bounding box and once more for the points.  Each chunk of points is
+shifted into the viewBox and formatted by one ``%`` of a format string
+repeated per vertex: ``"%.6f,%.6f"``, or ``"%d.000000,%d.000000"`` on the
+lattice with an integral margin, which gives the same text from exact ints.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator, Sequence, TextIO
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import add, mod, neg, sub
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .limits import require_memory
 
@@ -30,9 +39,10 @@ _CATEGORICAL_UNITS = {0: -1, 1: 0, 2: 1, 3: 2}
 # Exact unit vectors, by heading, at the angles whose walk stays on the lattice.
 _LATTICE_UNITS = {90: ((1, 0), (0, 1), (-1, 0), (0, -1)), 180: ((1, 0), (-1, 0))}
 
-# Peak bytes per term of `trace` plus `to_svg` (the vertex tuples and the
-# document text), an upper bound on the RSS growth measured at 167-183 for
-# 10^5 and 10^6 terms at 90, 120 and 72 degrees (Python 3.11, x86-64).
+# Peak bytes per term of `trace` plus `to_svg` (the vertex tuples, one chunk
+# of columns and the document text), an upper bound on the RSS growth
+# measured at 158-195 for 10^5 and 10^6 terms at 90, 120 and 72 degrees
+# (Python 3.11, x86-64).
 _BYTES_PER_TERM = 264
 
 # Vertices read or formatted at a time by `write_svg`.
@@ -67,7 +77,8 @@ def trace(
     check_walk(terms, angle, mapping)
     require_memory(f"a trace of {len(terms)} terms", _BYTES_PER_TERM * len(terms))
     angle = Fraction(angle)
-    return PolylinePath(tuple(_walk(terms, angle, mapping, clockwise)),
+    columns = _walk(terms, angle, mapping, clockwise)
+    return PolylinePath(tuple(chain.from_iterable(starmap(zip, columns))),
                         angle in _LATTICE_UNITS)
 
 
@@ -91,7 +102,8 @@ def write_svg(
     check_walk(terms, angle, mapping)
     angle = Fraction(angle)
     box = _bounds(_walk(terms, angle, mapping, clockwise))
-    out.writelines(_svg_text(_walk(terms, angle, mapping, clockwise), box, stroke_width, margin))
+    out.writelines(_svg_text(_walk(terms, angle, mapping, clockwise), box, stroke_width,
+                             margin, angle in _LATTICE_UNITS))
 
 
 def check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str) -> None:
@@ -106,34 +118,54 @@ def check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str
 
 def _walk(
     terms: Sequence[int], angle: Fraction, mapping: str, clockwise: bool
-) -> Iterator[tuple[float, float]]:
-    """Yield the vertices of the walk, the origin first: one more than the terms."""
+) -> Iterator[tuple[list, list]]:
+    """Yield the vertices of the walk, the origin first, as ``(xs, ys)`` columns.
+
+    Every chunk holds ``CHUNK`` vertices but the last, which holds 1 to
+    ``CHUNK`` of them: one more vertex than terms in all.
+    """
     # Smallest r with r * angle a multiple of 360: headings repeat modulo it.
     order = (360 / angle).numerator
 
-    sign = -1 if clockwise else 1
+    turns = islice(terms, len(terms) - 1)  # the last term turns after the last move
     if mapping == CCW_COUNT:
-        turns = map(sign.__mul__, terms)
+        if clockwise:
+            turns = map(neg, turns)
     else:
+        sign = -1 if clockwise else 1
         turn_of = {r: sign * u for r, u in _CATEGORICAL_UNITS.items()}
-        turns = (turn_of[t % 4] for t in terms)
+        turns = map(turn_of.__getitem__, map(mod, turns, repeat(4)))
+    headings = map(mod, accumulate(turns, initial=0), repeat(order))
 
-    units = dict(enumerate(_LATTICE_UNITS.get(angle, ())))  # heading -> unit vector
-    heading = 0
-    x, y = (0, 0) if units else (0.0, 0.0)
-    yield x, y
-    for turn in turns:
-        vec = units.get(heading)
-        if vec is None:
-            vec = units[heading] = _unit_vector(angle, heading)
-        x, y = x + vec[0], y + vec[1]
-        yield x, y
-        heading = (heading + turn) % order
+    units = _LATTICE_UNITS.get(angle)
+    if units:
+        x_of = dict(enumerate(ux for ux, _ in units))
+        y_of = dict(enumerate(uy for _, uy in units))
+        x = y = 0
+    else:
+        x_of, y_of = _AxisTable(angle, math.cos), _AxisTable(angle, math.sin)
+        x = y = 0.0
+    while True:
+        chunk = list(islice(headings, CHUNK))
+        xs = list(accumulate(map(x_of.__getitem__, chunk), initial=x))
+        ys = list(accumulate(map(y_of.__getitem__, chunk), initial=y))
+        if len(chunk) < CHUNK:
+            yield xs, ys
+            return
+        x, y = xs.pop(), ys.pop()  # the next chunk's first vertex
+        yield xs, ys
 
 
-def _unit_vector(angle: Fraction, heading: int) -> tuple[float, float]:
-    theta = math.radians(float((heading * angle) % 360))
-    return (math.cos(theta), math.sin(theta))
+class _AxisTable(dict):
+    """Heading -> one coordinate of its unit vector, computed on first lookup."""
+
+    def __init__(self, angle: Fraction, axis: Callable[[float], float]) -> None:
+        super().__init__()
+        self.angle, self.axis = angle, axis
+
+    def __missing__(self, heading: int) -> float:
+        value = self[heading] = self.axis(math.radians(float((heading * self.angle) % 360)))
+        return value
 
 
 def path_equal(a: PolylinePath, b: PolylinePath, tolerance: float = 0.0) -> bool:
@@ -165,38 +197,45 @@ def to_svg(
     flipped so counterclockwise in math coordinates reads counterclockwise
     on screen.  Coordinates carry 6 decimal places.
     """
-    if not path.vertices:
+    vertices = path.vertices
+    if not vertices:
         raise ValueError("cannot render an empty path")
-    box = _bounds(path.vertices)
-    return "".join(_svg_text(path.vertices, box, stroke_width, margin))
+    box = _bounds(_columns(vertices))
+    return "".join(_svg_text(_columns(vertices), box, stroke_width, margin, path.lattice))
 
 
-def _bounds(vertices: Iterable[tuple[float, float]]) -> tuple[float, float, float, float]:
-    """(min x, max x, min y, max y) over the vertices.
+def _columns(vertices: Sequence[tuple[float, float]]) -> Iterator[Iterator[tuple]]:
+    """The vertices as ``(xs, ys)`` columns, ``CHUNK`` at a time, as `_walk` yields them."""
+    for i in range(0, len(vertices), CHUNK):
+        yield zip(*vertices[i : i + CHUNK])
+
+
+def _bounds(columns: Iterable[tuple[Sequence, Sequence]]) -> tuple[float, float, float, float]:
+    """(min x, max x, min y, max y) over chunks of ``(xs, ys)`` columns.
 
     Like ``min`` and ``max``, each keeps the first of equal extremes.
     """
-    it = iter(vertices)
-    min_x, min_y = max_x, max_y = next(it)
-    for x, y in it:
-        if x < min_x:
-            min_x = x
-        elif x > max_x:
-            max_x = x
-        if y < min_y:
-            min_y = y
-        elif y > max_y:
-            max_y = y
+    it = iter(columns)
+    xs, ys = next(it)
+    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    for xs, ys in it:
+        min_x, max_x = min(min_x, min(xs)), max(max_x, max(xs))
+        min_y, max_y = min(min_y, min(ys)), max(max_y, max(ys))
     return min_x, max_x, min_y, max_y
 
 
 def _svg_text(
-    vertices: Iterable[tuple[float, float]],
+    columns: Iterable[tuple[Sequence, Sequence]],
     box: tuple[float, float, float, float],
     stroke_width: float,
     margin: float,
+    lattice: bool,
 ) -> Iterator[str]:
-    """Yield the SVG document of the vertices inside ``box``, the points a chunk at a time."""
+    """Yield the SVG document of the vertices inside ``box``, the points a chunk at a time.
+
+    ``lattice`` says every coordinate is an int.  With an integral margin,
+    every point then lands on whole numbers, and ``%d`` formats them.
+    """
     min_x, max_x, min_y, max_y = box
     width = (max_x - min_x) + 2 * margin
     height = (max_y - min_y) + 2 * margin
@@ -207,12 +246,29 @@ def _svg_text(
         f'<polyline fill="none" stroke="black" stroke-width="{stroke_width}" '
         'points="'
     )
-    it = iter(vertices)
+    # Below 2**52 an integral float margin adds to int coordinates exactly, so
+    # the points are ints, shifted by one operation per coordinate.
+    exact = lattice and abs(margin) < 2**52 and margin == int(margin)
+    if exact:
+        point = "%d.000000,%d.000000"
+        shift_x, shift_y = int(margin) - min_x, max_y + int(margin)
+    else:
+        point = "%.6f,%.6f"
+    formats: dict[int, str] = {}  # vertices in a chunk -> its format string
     sep = ""
-    while points := " ".join(["%.6f,%.6f" % (x - min_x + margin, max_y - y + margin)
-                              for x, y in islice(it, CHUNK)]):
+    for xs, ys in columns:
+        k = len(xs)
+        if k not in formats:
+            formats[k] = " ".join([point] * k)
+        flat = [None] * (2 * k)
+        if exact:
+            flat[0::2] = map(add, xs, repeat(shift_x))
+            flat[1::2] = map(sub, repeat(shift_y), ys)
+        else:
+            flat[0::2] = map(add, map(sub, xs, repeat(min_x)), repeat(margin))
+            flat[1::2] = map(add, map(sub, repeat(max_y), ys), repeat(margin))
         yield sep
-        yield points
+        yield formats[k] % tuple(flat)
         sep = " "
     yield '"/>\n</svg>\n'
 

@@ -26,3 +26,21 @@ def test_block_format_equals_line_by_line(start, n, kind):
     terms = bytes(i % 256 for i in range(n)) if kind is bytes else kind(range(-999, 7 * n - 999, 7))
     want = "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=start))
     assert format_b_file(terms, start) == want
+
+
+def test_skips_comments_blank_lines_and_whitespace():
+    # "# 3" and "#1 2" split into two fields but are still comments.
+    lines = ["# 3\n", "#1 2\n", "\n", "   \t\n", "1 5\r\n", "  2   -6  \r\n", "3 7"]
+    assert parse_b_file(lines) == [5, -6, 7]
+
+
+def test_malformed_line_message_is_exact():
+    with pytest.raises(ValueError) as exc:
+        parse_b_file(["1 0\n", "  2 x \r\n"])
+    assert str(exc.value) == "b-file line 2: expected '<index> <value>' as two integers, got '2 x'"
+
+
+def test_non_consecutive_index_message_is_exact():
+    with pytest.raises(ValueError) as exc:
+        parse_b_file(["0 1\r\n", "# 1 0\n", "2 0\n"])
+    assert str(exc.value) == "b-file line 3: non-consecutive index 2, expected 1"

@@ -163,6 +163,20 @@ class TestRenderCommand:
                        f"as two integers, got '{line}'\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("text,line,index", [
+        ("0 1\n1 1\n2 0\n", 1, 0),  # OEIS A014577, offset 0
+        ("# A000000\n\n5 1\n6 3\n", 3, 5),
+    ])
+    def test_b_file_not_from_index_1_is_usage_error(self, capsys, tmp_path, text, line, index):
+        src = tmp_path / "terms.bfile"
+        src.write_text(text)
+        out_file = tmp_path / "sub" / "x.svg"
+        code, out, err = run(capsys, "render", "--from-file", str(src), "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == (f"error: b-file line {line}: first index {index}, "
+                       "but render reads b-files from index 1\n")
+        assert not out_file.parent.exists()
+
     def test_trace_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # 64 KiB cannot hold the trace and SVG text of 1000 terms.
         report_physical_memory(monkeypatch, 2**16)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import math
 import os
@@ -8,11 +10,20 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dragonsieve import generate_dci, path_equal, to_svg, trace, write_svg
-from dragonsieve.render import reduce_mod
+from dragonsieve import (
+    format_b_file,
+    generate_dci,
+    heighway_turns,
+    path_equal,
+    to_svg,
+    trace,
+    write_svg,
+)
+from dragonsieve.cli import main
+from dragonsieve.render import CHUNK, reduce_mod
 
 # CCW quarter-turn rotation applied h times, for lattice normalization.
 def _rot(v, h):
@@ -43,6 +54,52 @@ def _unreduced_walk(terms, angle, clockwise):
         vertices.append((x, y))
         heading += -t if clockwise else t
     return tuple(vertices)
+
+
+def _reference_svg(terms, angle, mapping, clockwise, stroke_width, margin):
+    """The SVG document, walked and formatted one vertex at a time.
+
+    The loop version of `write_svg`: a per-vertex turtle walk, a per-vertex
+    bounding box and one ``"%.6f,%.6f"`` per point, so a defect shared by
+    `to_svg` and `write_svg` still differs from it.
+    """
+    unit = Fraction(angle)
+    order = (360 / unit).numerator
+    units = dict(enumerate({90: ((1, 0), (0, 1), (-1, 0), (0, -1)),
+                            180: ((1, 0), (-1, 0))}.get(unit, ())))
+    heading = 0
+    x, y = (0, 0) if units else (0.0, 0.0)
+    vertices = [(x, y)]
+    for t in terms:
+        vec = units.get(heading)
+        if vec is None:
+            theta = math.radians(float((heading * unit) % 360))
+            vec = units[heading] = (math.cos(theta), math.sin(theta))
+        x, y = x + vec[0], y + vec[1]
+        vertices.append((x, y))
+        turn = t if mapping == "ccw-count" else {0: -1, 1: 0, 2: 1, 3: 2}[t % 4]
+        heading = (heading + (-turn if clockwise else turn)) % order
+    min_x = max_x = vertices[0][0]
+    min_y = max_y = vertices[0][1]
+    for x, y in vertices:
+        if x < min_x:
+            min_x = x
+        elif x > max_x:
+            max_x = x
+        if y < min_y:
+            min_y = y
+        elif y > max_y:
+            max_y = y
+    points = " ".join("%.6f,%.6f" % (x - min_x + margin, max_y - y + margin)
+                      for x, y in vertices)
+    return (
+        '<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="0 0 {(max_x - min_x) + 2 * margin:.6f} '
+        f'{(max_y - min_y) + 2 * margin:.6f}">\n'
+        f'<polyline fill="none" stroke="black" stroke-width="{stroke_width}" '
+        f'points="{points}"/>\n</svg>\n'
+    )
 
 
 class TestTrace:
@@ -217,6 +274,30 @@ class TestWriteSvg:
         path = trace(terms, angle, mapping, clockwise)
         assert out.getvalue() == to_svg(path, stroke_width=stroke_width, margin=margin)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1]),
+        as_bytes=st.booleans(),
+        angle=st.sampled_from([90, 90.0, 180, 120, 60, 135, 72, 90.1, Fraction(1, 3)]),
+        mapping=st.sampled_from(["ccw-count", "categorical-mod4"]),
+        clockwise=st.booleans(),
+        # 2.0**53 is integral but too large to add to the coordinates exactly.
+        margin=st.sampled_from([8.0, 0.0, 2.5, -3.0, 7, 2.0**53]),
+    )
+    # No shrinking: the terms come from a seed, which it cannot simplify.
+    @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.generate])
+    def test_equals_the_per_vertex_reference(self, seed, n, as_bytes, angle, mapping,
+                                             clockwise, margin):
+        # One vertex more than the terms: n = CHUNK - 1 fills one chunk exactly.
+        rng = random.Random(seed)
+        terms = (rng.randbytes(n) if as_bytes
+                 else [rng.randint(-400, 400) for _ in range(n)])
+        want = _reference_svg(terms, angle, mapping, clockwise, 1.0, margin)
+        out = io.StringIO()
+        write_svg(terms, out, angle, mapping, clockwise, margin=margin)
+        assert out.getvalue() == want
+        assert to_svg(trace(terms, angle, mapping, clockwise), margin=margin) == want
+
     def test_spans_point_chunks(self):
         # More vertices than one chunk, as bytes, the form the CLI passes.
         terms = bytes(generate_dci(3, 20000))
@@ -247,3 +328,24 @@ class TestWriteSvg:
                     tracemalloc.stop()
 
         assert peak(4 * 10**5) < 2 * peak(10**5)
+
+
+class TestRenderedDocuments:
+    # sha256 of each document as rendered before the walk and the writer
+    # worked in column chunks; the text must not change.
+    @pytest.mark.parametrize("argv,digest", [
+        (["--p", "3", "--limit", "100000"],
+         "56ccd35df25d9353ea4ad7684b9700803fbf370230154dba32bcb994ceafd636"),
+        (["--p", "2", "--limit", "100000", "--mapping", "mod4", "--angle", "60"],
+         "ab68e9c57ca6bff926ea371455ee927c034c0a7c2db2ed02ec415f50056b5887"),
+        (["--p", "3", "--limit", "100000", "--mod", "5", "--angle", "72"],
+         "adaae94da1e27ffbc6ba6fb71ec7e90672346ce623e13b8600c831a17eb957fe"),
+        (["--from-file", "heighway16.bfile", "--angle", "120"],
+         "c85b24023ed6cebc0d5e3a5fcceb05764648b0e12dd829c13176d2aa06086196"),
+    ], ids=["v3-90", "v2-mod4-60", "v3-mod5-72", "heighway-file-120"])
+    def test_render_is_byte_identical(self, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "heighway16.bfile").write_text(format_b_file(heighway_turns(16).terms))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["render", *argv, "-o", "out.svg"]) == 0
+        assert hashlib.sha256((tmp_path / "out.svg").read_bytes()).hexdigest() == digest

@@ -12,7 +12,7 @@ from .fractal import (
     decimate_terms,
     reconstruct_odd_part,
 )
-from .render import PolylinePath, path_equal, to_svg, trace, write_svg
+from .render import PolylinePath, to_svg, trace, write_svg
 from .sieve import (
     Factorization,
     SieveTable,
@@ -56,7 +56,6 @@ __all__ = [
     "odd_even_parts",
     "odd_part_mod4",
     "parse_b_file",
-    "path_equal",
     "primes_by_trial_division",
     "read_b_file",
     "read_factorization",

@@ -64,7 +64,7 @@ def _require_terms(command: str, n: int) -> None:
 
 def _cmd_seq(args) -> int:
     _require_terms("seq", args.limit)
-    write_b_file(bytes(generate_dci(args.p, args.limit)), sys.stdout)
+    write_b_file(generate_dci(args.p, args.limit).terms, sys.stdout)
     return 0
 
 
@@ -86,7 +86,7 @@ def _cmd_decimate(args) -> int:
     if args.levels < 0:
         raise ValueError(f"levels must be non-negative, got {args.levels}")
     _require_terms("decimate", args.limit)
-    current = bytes(generate_dci(args.p, args.limit))
+    current = generate_dci(args.p, args.limit).terms
     rows = [("Original", current)]
     for level in range(args.levels):
         current = decimate_terms(current, args.p)
@@ -100,12 +100,12 @@ def _cmd_decimate(args) -> int:
 
 
 def _cmd_levy(args) -> int:
-    write_b_file(bytes(levy_turns(args.iterations).terms), sys.stdout)
+    write_b_file(levy_turns(args.iterations).terms, sys.stdout)
     return 0
 
 
 def _cmd_heighway(args) -> int:
-    write_b_file(bytes(heighway_turns(args.iterations).terms), sys.stdout)
+    write_b_file(heighway_turns(args.iterations).terms, sys.stdout)
     return 0
 
 
@@ -131,7 +131,7 @@ def _cmd_render(args) -> int:
             print("render: either --p or --from-file is required", file=sys.stderr)
             return 2
         _require_terms("render", args.limit)
-        terms = bytes(generate_dci(args.p, args.limit))
+        terms = generate_dci(args.p, args.limit).terms
     if args.mod is not None:
         terms = reduce_mod(terms, args.mod)
     mapping = "categorical-mod4" if args.mapping == "mod4" else "ccw-count"

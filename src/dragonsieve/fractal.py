@@ -11,12 +11,11 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def decimate_terms(terms: Sequence[int], p: int) -> list[int]:
-    """Keep the terms at 1-based indexes f*(p+1); empty when too short."""
+def decimate_terms(terms: Sequence[int], p: int) -> Sequence[int]:
+    """Keep the terms at 1-based indexes f*(p+1): a slice, so bytes give bytes."""
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
-    step = p + 1
-    return [terms[i] for i in range(step - 1, len(terms), step)]
+    return terms[p :: p + 1]
 
 
 def aperiodicity_witness(terms: Sequence[int], q: int) -> int | None:
@@ -38,12 +37,10 @@ def reconstruct_odd_part(max_index: int) -> list[int]:
     """
     if max_index < 1:
         raise ValueError(f"max_index must be positive, got {max_index}")
-    out = [0] * (max_index + 1)
+    out = [0] * max_index
     step = 1  # 2**j
     while step <= max_index:
-        o = 1
-        for idx in range(step, max_index + 1, 2 * step):
-            out[idx] = o
-            o += 2
+        count = len(range(step, max_index + 1, 2 * step))
+        out[step - 1 :: 2 * step] = range(1, 2 * count, 2)
         step *= 2
-    return out[1:]
+    return out

@@ -16,7 +16,7 @@ writes the same document without keeping them: it walks once for the
 bounding box and once more for the points.  Each chunk of points is
 shifted into the viewBox and formatted by one ``%`` of a format string
 repeated per vertex: ``"%.6f,%.6f"``, or ``"%d.000000,%d.000000"`` on the
-lattice with an integral margin, which gives the same text from exact ints.
+lattice, which gives the same text from exact ints.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ _BYTES_PER_TERM = 264
 
 # Vertices read or formatted at a time by `write_svg`.
 CHUNK = 1 << 13
+
+# Space around the bounding box in the viewBox, in units of one segment.
+MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,6 @@ def write_svg(
     clockwise: bool = False,
     *,
     stroke_width: float = 1.0,
-    margin: float = 8.0,
 ) -> None:
     """Write ``to_svg(trace(terms, angle, mapping, clockwise))`` to the open stream ``out``.
 
@@ -103,7 +105,7 @@ def write_svg(
     angle = Fraction(angle)
     box = _bounds(_walk(terms, angle, mapping, clockwise))
     out.writelines(_svg_text(_walk(terms, angle, mapping, clockwise), box, stroke_width,
-                             margin, angle in _LATTICE_UNITS))
+                             angle in _LATTICE_UNITS))
 
 
 def check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str) -> None:
@@ -168,32 +170,10 @@ class _AxisTable(dict):
         return value
 
 
-def path_equal(a: PolylinePath, b: PolylinePath, tolerance: float = 0.0) -> bool:
-    """True when both paths have the same vertices within ``tolerance``.
-
-    Tolerance 0 demands exact equality, which is meaningful in lattice mode.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    if len(a.vertices) != len(b.vertices):
-        return False
-    if tolerance == 0:
-        return a.vertices == b.vertices
-    return all(
-        math.hypot(ax - bx, ay - by) <= tolerance
-        for (ax, ay), (bx, by) in zip(a.vertices, b.vertices)
-    )
-
-
-def to_svg(
-    path: PolylinePath,
-    *,
-    stroke_width: float = 1.0,
-    margin: float = 8.0,
-) -> str:
+def to_svg(path: PolylinePath, *, stroke_width: float = 1.0) -> str:
     """Render the path as a standalone SVG 1.1 document with one polyline.
 
-    The viewBox is fitted to the bounding box plus margin; the y axis is
+    The viewBox is fitted to the bounding box plus ``MARGIN``; the y axis is
     flipped so counterclockwise in math coordinates reads counterclockwise
     on screen.  Coordinates carry 6 decimal places.
     """
@@ -201,7 +181,7 @@ def to_svg(
     if not vertices:
         raise ValueError("cannot render an empty path")
     box = _bounds(_columns(vertices))
-    return "".join(_svg_text(_columns(vertices), box, stroke_width, margin, path.lattice))
+    return "".join(_svg_text(_columns(vertices), box, stroke_width, path.lattice))
 
 
 def _columns(vertices: Sequence[tuple[float, float]]) -> Iterator[Iterator[tuple]]:
@@ -228,17 +208,16 @@ def _svg_text(
     columns: Iterable[tuple[Sequence, Sequence]],
     box: tuple[float, float, float, float],
     stroke_width: float,
-    margin: float,
     lattice: bool,
 ) -> Iterator[str]:
     """Yield the SVG document of the vertices inside ``box``, the points a chunk at a time.
 
-    ``lattice`` says every coordinate is an int.  With an integral margin,
-    every point then lands on whole numbers, and ``%d`` formats them.
+    ``lattice`` says every coordinate is an int, so every point lands on
+    whole numbers, and ``%d`` formats them.
     """
     min_x, max_x, min_y, max_y = box
-    width = (max_x - min_x) + 2 * margin
-    height = (max_y - min_y) + 2 * margin
+    width = (max_x - min_x) + 2 * MARGIN
+    height = (max_y - min_y) + 2 * MARGIN
     yield (
         '<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -246,12 +225,9 @@ def _svg_text(
         f'<polyline fill="none" stroke="black" stroke-width="{stroke_width}" '
         'points="'
     )
-    # Below 2**52 an integral float margin adds to int coordinates exactly, so
-    # the points are ints, shifted by one operation per coordinate.
-    exact = lattice and abs(margin) < 2**52 and margin == int(margin)
-    if exact:
+    if lattice:
         point = "%d.000000,%d.000000"
-        shift_x, shift_y = int(margin) - min_x, max_y + int(margin)
+        shift_x, shift_y = MARGIN - min_x, max_y + MARGIN
     else:
         point = "%.6f,%.6f"
     formats: dict[int, str] = {}  # vertices in a chunk -> its format string
@@ -261,12 +237,12 @@ def _svg_text(
         if k not in formats:
             formats[k] = " ".join([point] * k)
         flat = [None] * (2 * k)
-        if exact:
+        if lattice:
             flat[0::2] = map(add, xs, repeat(shift_x))
             flat[1::2] = map(sub, repeat(shift_y), ys)
         else:
-            flat[0::2] = map(add, map(sub, xs, repeat(min_x)), repeat(margin))
-            flat[1::2] = map(add, map(sub, repeat(max_y), ys), repeat(margin))
+            flat[0::2] = map(add, map(sub, xs, repeat(min_x)), repeat(MARGIN))
+            flat[1::2] = map(add, map(sub, repeat(max_y), ys), repeat(MARGIN))
         yield sep
         yield formats[k] % tuple(flat)
         sep = " "

@@ -36,16 +36,12 @@ class ValuationSequence:
             raise ValueError(f"{len(self._full)} terms given for length {self.m}")
 
     @property
-    def terms(self) -> list[int]:
-        """The terms, as a fresh list of length ``m``."""
-        return list(self._full)
+    def terms(self) -> bytes:
+        """The ``m`` terms as they are held, one byte each, without a copy."""
+        return self._full
 
     def __len__(self) -> int:
         return self.m
-
-    def __bytes__(self) -> bytes:
-        """The terms as they are held, one byte each; ``bytes(seq)`` makes no copy."""
-        return self._full
 
 
 def generate_dci(p: int, m: int) -> ValuationSequence:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from .dragons import heighway_turns, levy_turns
 from .fractal import aperiodicity_witness, decimate_terms, reconstruct_odd_part
-from .render import path_equal, reduce_mod, trace
+from .render import reduce_mod, trace
 from .sieve import read_factorization, run_sieve
 from .valuations import (
     generate_dci,
@@ -118,9 +118,9 @@ def verify_sieve(limit: int) -> list[CheckReport]:
     ]
 
 
-def verify_valuations(limit: int, bases=VALUATION_PRIMES) -> list[CheckReport]:
+def verify_valuations(limit: int) -> list[CheckReport]:
     reports = []
-    for p in bases:
+    for p in VALUATION_PRIMES:
         terms = generate_dci(p, limit).terms
         reports.append(_run(
             f"dci-matches-division-oracle-p{p}", limit,
@@ -184,7 +184,7 @@ def verify_render(limit: int) -> list[CheckReport]:
     def mod4_invariance() -> list[Failure]:
         full = trace(terms, 90)
         reduced = trace(reduce_mod(terms, 4), 90)
-        return [] if path_equal(full, reduced, 0.0) else [Failure(1, "equal paths", "mismatch")]
+        return [] if full.vertices == reduced.vertices else [Failure(1, "equal paths", "mismatch")]
 
     def unit_segments(angle: int) -> list[Failure]:
         vertices = trace(terms, angle).vertices

@@ -19,13 +19,12 @@ from dragonsieve import (
     levy_turns,
     odd_even_parts,
     odd_part_mod4,
-    path_equal,
     primes_by_trial_division,
     read_factorization,
     run_sieve,
-    to_svg,
     trace,
     valuation_oracle,
+    write_svg,
 )
 from dragonsieve.cli import main
 from dragonsieve.render import reduce_mod
@@ -106,10 +105,10 @@ def test_criterion_07_levy_theorem():
     t0 = time.perf_counter()
     terms = levy_turns(10).terms
     assert len(terms) == 2047
-    assert terms == tuple(valuation_oracle(2, 8 * i) for i in range(1, 2048))
-    assert levy_turns(1).terms == (3, 4, 3)
-    assert levy_turns(2).terms == (3, 4, 3, 5, 3, 4, 3)
-    assert levy_turns(3).terms == (3, 4, 3, 5, 3, 4, 3, 6, 3, 4, 3, 5, 3, 4, 3)
+    assert tuple(terms) == tuple(valuation_oracle(2, 8 * i) for i in range(1, 2048))
+    assert tuple(levy_turns(1).terms) == (3, 4, 3)
+    assert tuple(levy_turns(2).terms) == (3, 4, 3, 5, 3, 4, 3)
+    assert tuple(levy_turns(3).terms) == (3, 4, 3, 5, 3, 4, 3, 6, 3, 4, 3, 5, 3, 4, 3)
     for i in (1, 2, 3):
         assert levy_turns(10).terms[i - 1] == valuation_oracle(2, 8 * i)
     _criterion(7, "Levy turns equal v2 at multiples of 8 across 2047 indexes", 0.1, t0)
@@ -119,8 +118,8 @@ def test_criterion_08_heighway_equivalence():
     t0 = time.perf_counter()
     terms = heighway_turns(16).terms
     assert len(terms) == 65535
-    assert terms == tuple(odd_part_mod4(n) for n in range(1, 65536))
-    assert heighway_turns(4).terms == (1, 1, 3, 1, 1, 3, 3, 1, 1, 1, 3, 3, 1, 3, 3)
+    assert tuple(terms) == tuple(odd_part_mod4(n) for n in range(1, 65536))
+    assert tuple(heighway_turns(4).terms) == (1, 1, 3, 1, 1, 3, 3, 1, 1, 1, 3, 3, 1, 3, 3)
     assert [odd_part_mod4(n) for n in range(1, 16)] == [
         1, 1, 3, 1, 1, 3, 3, 1, 1, 1, 3, 3, 1, 3, 3]
     _criterion(8, "Heighway turns equal the odd part mod 4 across 65535 indexes", 1.0, t0)
@@ -146,7 +145,7 @@ def test_criterion_10_render_invariants():
     full = trace(terms, 90)
     assert full.lattice
     reduced = trace(reduce_mod(terms, 4), 90)
-    assert path_equal(full, reduced, 0.0)
+    assert full.vertices == reduced.vertices
 
     for angle in (120, 135, 60):
         path = trace(terms, angle)
@@ -181,9 +180,9 @@ def test_criterion_11_golden_trace():
 def test_criterion_12_figure_artifacts(p, angle, name):
     t0 = time.perf_counter()
     ARTIFACTS.mkdir(exist_ok=True)
-    terms = generate_dci(p, 4096).terms
-    svg = to_svg(trace(terms, angle), stroke_width=0.4)
     out = ARTIFACTS / f"{name}.svg"
-    out.write_text(svg, encoding="utf-8")
+    with out.open("w", encoding="utf-8") as fh:
+        write_svg(generate_dci(p, 4096).terms, fh, angle, stroke_width=0.4)
+    svg = out.read_text(encoding="utf-8")
     assert svg.startswith("<?xml") and "<polyline" in svg
     _criterion(12, f"figure artifact {out.name} emitted for visual comparison", 10.0, t0)

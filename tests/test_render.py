@@ -17,7 +17,6 @@ from dragonsieve import (
     format_b_file,
     generate_dci,
     heighway_turns,
-    path_equal,
     to_svg,
     trace,
     write_svg,
@@ -167,13 +166,14 @@ class TestTrace:
         terms = generate_dci(2, 2000).terms
         full = trace(terms, 90)
         reduced = trace(reduce_mod(terms, 4), 90)
-        assert path_equal(full, reduced, 0.0)
+        assert full.vertices == reduced.vertices
 
     def test_mod3_reduction_invariance_at_120(self):
         terms = generate_dci(2, 500).terms
-        full = trace(terms, 120)
-        reduced = trace(reduce_mod(terms, 3), 120)
-        assert path_equal(full, reduced, 1e-9)
+        full = trace(terms, 120).vertices
+        reduced = trace(reduce_mod(terms, 3), 120).vertices
+        assert len(full) == len(reduced)
+        assert all(math.dist(a, b) <= 1e-9 for a, b in zip(full, reduced))
 
     def test_clockwise_mirrors(self):
         terms = (0, 1, 0, 2)
@@ -196,38 +196,12 @@ class TestTrace:
             assert window == template
 
 
-class TestPathEqual:
-    def test_path_equals_itself(self):
-        p = trace((0, 1, 0), 90)
-        assert path_equal(p, p)
-
-    def test_detects_turn_difference(self):
-        a = trace((0, 0, 0), 90)
-        b = trace((0, 1, 0), 90)
-        assert not path_equal(a, b)
-
-    def test_length_mismatch(self):
-        a = trace((0, 0), 90)
-        b = trace((0, 0, 0), 90)
-        assert not path_equal(a, b)
-
-    def test_tolerance(self):
-        a = trace((1, 1, 1), 120)
-        b = trace((1, 1, 1), 120.0000001)
-        assert path_equal(a, b, 1e-6)
-        assert not path_equal(a, b, 0.0)
-
-    def test_rejects_negative_tolerance(self):
-        p = trace((0,), 90)
-        with pytest.raises(ValueError):
-            path_equal(p, p, -1.0)
-
-
 class TestToSvg:
     def test_single_segment_points(self):
         path = trace((0,), 90)
-        svg = to_svg(path, margin=0.0)
-        assert 'points="0.000000,0.000000 1.000000,0.000000"' in svg
+        svg = to_svg(path)
+        assert 'viewBox="0 0 17.000000 16.000000"' in svg
+        assert 'points="8.000000,8.000000 9.000000,8.000000"' in svg
 
     def test_document_shape(self):
         svg = to_svg(trace((0, 1, 0, 2), 90))
@@ -240,7 +214,7 @@ class TestToSvg:
         # A left turn (CCW, +y in math coords) must head up the screen,
         # i.e. toward smaller emitted y.
         path = trace((1, 0), 90)
-        svg = to_svg(path, margin=0.0)
+        svg = to_svg(path)
         pts = svg.split('points="')[1].split('"')[0].split()
         ys = [float(p.split(",")[1]) for p in pts]
         assert ys[2] < ys[1]
@@ -263,16 +237,14 @@ class TestWriteSvg:
         mapping=st.sampled_from(["ccw-count", "categorical-mod4"]),
         clockwise=st.booleans(),
         stroke_width=st.sampled_from([1.0, 0.4, 3]),
-        margin=st.sampled_from([8.0, 0.0, 2.5]),
     )
     @settings(max_examples=200)
     def test_streams_the_document_of_the_trace(self, terms, angle, mapping, clockwise,
-                                               stroke_width, margin):
+                                               stroke_width):
         out = io.StringIO()
-        write_svg(terms, out, angle, mapping, clockwise,
-                  stroke_width=stroke_width, margin=margin)
+        write_svg(terms, out, angle, mapping, clockwise, stroke_width=stroke_width)
         path = trace(terms, angle, mapping, clockwise)
-        assert out.getvalue() == to_svg(path, stroke_width=stroke_width, margin=margin)
+        assert out.getvalue() == to_svg(path, stroke_width=stroke_width)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -281,26 +253,24 @@ class TestWriteSvg:
         angle=st.sampled_from([90, 90.0, 180, 120, 60, 135, 72, 90.1, Fraction(1, 3)]),
         mapping=st.sampled_from(["ccw-count", "categorical-mod4"]),
         clockwise=st.booleans(),
-        # 2.0**53 is integral but too large to add to the coordinates exactly.
-        margin=st.sampled_from([8.0, 0.0, 2.5, -3.0, 7, 2.0**53]),
     )
     # No shrinking: the terms come from a seed, which it cannot simplify.
     @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.generate])
     def test_equals_the_per_vertex_reference(self, seed, n, as_bytes, angle, mapping,
-                                             clockwise, margin):
+                                             clockwise):
         # One vertex more than the terms: n = CHUNK - 1 fills one chunk exactly.
         rng = random.Random(seed)
         terms = (rng.randbytes(n) if as_bytes
                  else [rng.randint(-400, 400) for _ in range(n)])
-        want = _reference_svg(terms, angle, mapping, clockwise, 1.0, margin)
+        want = _reference_svg(terms, angle, mapping, clockwise, 1.0, 8.0)
         out = io.StringIO()
-        write_svg(terms, out, angle, mapping, clockwise, margin=margin)
+        write_svg(terms, out, angle, mapping, clockwise)
         assert out.getvalue() == want
-        assert to_svg(trace(terms, angle, mapping, clockwise), margin=margin) == want
+        assert to_svg(trace(terms, angle, mapping, clockwise)) == want
 
     def test_spans_point_chunks(self):
         # More vertices than one chunk, as bytes, the form the CLI passes.
-        terms = bytes(generate_dci(3, 20000))
+        terms = generate_dci(3, 20000).terms
         out = io.StringIO()
         write_svg(terms, out, 120, clockwise=True)
         assert out.getvalue() == to_svg(trace(terms, 120, clockwise=True))
@@ -318,7 +288,7 @@ class TestWriteSvg:
 
     def test_peak_memory_does_not_grow_with_the_walk(self):
         def peak(n):
-            terms = bytes(generate_dci(2, n))
+            terms = generate_dci(2, n).terms
             with open(os.devnull, "w", encoding="utf-8") as out:
                 tracemalloc.start()
                 try:

@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 
 from dragonsieve import (
     ValuationSequence,
+    decimate_terms,
     generate_dci,
+    heighway_turns,
+    levy_turns,
     odd_even_parts,
     odd_part_mod4,
     primes_by_trial_division,
@@ -19,16 +22,16 @@ SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 class TestGenerateDci:
     def test_base2_first_16(self):
-        assert generate_dci(2, 16).terms == [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4]
+        assert list(generate_dci(2, 16).terms) == [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4]
 
     def test_base3_first_16(self):
-        assert generate_dci(3, 16).terms == [0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 1, 0]
+        assert list(generate_dci(3, 16).terms) == [0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 1, 0]
 
     def test_base5_first_16(self):
-        assert generate_dci(5, 16).terms == [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
+        assert list(generate_dci(5, 16).terms) == [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
 
     def test_length_one(self):
-        assert generate_dci(2, 1).terms == [0]
+        assert list(generate_dci(2, 1).terms) == [0]
 
     def test_rejects_base_below_2(self):
         with pytest.raises(ValueError):
@@ -66,7 +69,7 @@ class TestGenerateDci:
     def test_exact_length_matches_oracle(self, p, m):
         seq = generate_dci(p, m)
         assert len(seq._full) == m
-        assert seq.terms == [valuation_oracle(p, n) for n in range(1, m + 1)]
+        assert list(seq.terms) == [valuation_oracle(p, n) for n in range(1, m + 1)]
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_copy_structure(self, p):
@@ -85,6 +88,15 @@ class TestGenerateDci:
         while p**j <= m:
             assert terms[p**j - 1] == j
             j += 1
+
+
+def test_terms_are_the_held_bytes():
+    # Each construction hands out the bytes it holds: no copy on a read.
+    for seq in (generate_dci(3, 100), levy_turns(5), heighway_turns(5)):
+        assert type(seq.terms) is bytes
+        assert seq.terms is seq.terms
+    assert type(decimate_terms(generate_dci(2, 48).terms, 2)) is bytes
+    assert type(decimate_terms(list(range(12)), 2)) is list
 
 
 class TestValuationOracle:

@@ -104,7 +104,7 @@ class TestRejectedArguments:
 def plant_in_v2(monkeypatch, index):
     """Make `verify` see the p=2 valuation sequence with term ``index`` incremented."""
     def corrupted_dci(p, m):
-        terms = generate_dci(p, m).terms
+        terms = bytearray(generate_dci(p, m).terms)
         if p == 2:
             terms[index - 1] += 1
         return ValuationSequence(p, m, bytes(terms))
@@ -126,7 +126,7 @@ class TestPlantedDefect:
         )
         assert all(line.startswith("ok\t") for line in lines[1:-1])
         assert lines[-1] == "FAIL"
-        report = verify_mod.verify_valuations(100, bases=(2,))[0]
+        report = verify_mod.verify_valuations(100)[0]
         assert report.failures == [Failure(self.BAD_INDEX, 0, 1)]
 
     @pytest.mark.parametrize("bad_index,line", [
@@ -159,9 +159,9 @@ class TestPlantedDefect:
                            line):
         def corrupted(iterations):
             seq = build(iterations)
-            terms = list(seq.terms)
+            terms = bytearray(seq.terms)
             terms[index - 1] = turn
-            return dataclasses.replace(seq, terms=tuple(terms))
+            return dataclasses.replace(seq, terms=bytes(terms))
 
         monkeypatch.setattr(verify_mod, build.__name__, corrupted)
         code, out, _ = run(capsys, "verify", suite, "--iterations", iterations)

@@ -1,6 +1,6 @@
 """Division-free valuation sieve, fractal sequence checks, dragon-curve rendering."""
 
-from .bfile import format_b_file, parse_b_file, read_b_file, write_b_file
+from .bfile import format_b_file, parse_b_file, write_b_file
 from .dragons import (
     HeighwayTurnSequence,
     LevyTurnSequence,
@@ -57,7 +57,6 @@ __all__ = [
     "odd_part_mod4",
     "parse_b_file",
     "primes_by_trial_division",
-    "read_b_file",
     "read_factorization",
     "reconstruct_odd_part",
     "run_sieve",

@@ -39,10 +39,10 @@ def format_b_file(terms: Sequence[int], start: int = 1) -> str:
     return "".join(parts)
 
 
-def write_b_file(terms: Sequence[int], out: TextIO, start: int = 1) -> None:
-    """Write the b-file text of ``terms`` to the open stream ``out``, a chunk at a time."""
+def write_b_file(terms: Sequence[int], out: TextIO) -> None:
+    """Write the b-file text of ``terms``, from index 1, to the stream ``out`` a chunk at a time."""
     for i in range(0, len(terms), _CHUNK):
-        out.write(format_b_file(terms[i : i + _CHUNK], start + i))
+        out.write(format_b_file(terms[i : i + _CHUNK], 1 + i))
 
 
 def parse_b_file(lines: Iterable[str]) -> list[int]:
@@ -71,11 +71,6 @@ def parse_b_file(lines: Iterable[str]) -> list[int]:
         expected = idx + 1
         append(val)
     return terms
-
-
-def read_b_file(path: str | Path) -> list[int]:
-    with open(path, encoding="ascii") as fh:
-        return parse_b_file(fh)
 
 
 def _first_index(path: str | Path) -> tuple[int, int] | None:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import verify as verify_mod
-from .bfile import _first_index, read_b_file, write_b_file
+from .bfile import _first_index, parse_b_file, write_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
 from .limits import require_memory
@@ -119,23 +120,28 @@ def _cmd_oddpart(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.from_file:
-        terms = read_b_file(args.from_file)
+    if (args.p is None) == (args.from_file is None):
+        raise ValueError("render takes exactly one of --p and --from-file")
+    if args.from_file is not None:
+        if args.limit is not None:
+            raise ValueError("render --limit applies to --p, not to --from-file")
+        with open(args.from_file, encoding="ascii") as fh:
+            terms = parse_b_file(fh)
         first = _first_index(args.from_file)
         if first and first[1] != 1:  # an OEIS offset other than 1, such as A014577's 0
             raise ValueError(f"b-file line {first[0]}: first index {first[1]}, "
                              "but render reads b-files from index 1")
         _require_terms("render", len(terms))
     else:
-        if args.p is None:
-            print("render: either --p or --from-file is required", file=sys.stderr)
-            return 2
-        _require_terms("render", args.limit)
-        terms = generate_dci(args.p, args.limit).terms
+        limit = DEFAULT_RENDER_LIMIT if args.limit is None else args.limit
+        _require_terms("render", limit)
+        terms = generate_dci(args.p, limit).terms
     if args.mod is not None:
         terms = reduce_mod(terms, args.mod)
     mapping = "categorical-mod4" if args.mapping == "mod4" else "ccw-count"
     check_walk(terms, args.angle, mapping)  # before the output file exists
+    if not 0 < args.stroke_width < math.inf:
+        raise ValueError(f"stroke width must be finite and above 0, got {args.stroke_width}")
     out = _out_path(args.output)
     with out.open("w", encoding="utf-8") as fh:
         write_svg(terms, fh, args.angle, mapping, args.clockwise, stroke_width=args.stroke_width)
@@ -211,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="trace a sequence and write an SVG")
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--limit", type=int, default=DEFAULT_RENDER_LIMIT)
+    p.add_argument("--limit", type=int, default=None)  # DEFAULT_RENDER_LIMIT with --p
     p.add_argument("--from-file", default=None, help="render a b-file instead")
     p.add_argument("--angle", type=float, default=90.0)
     p.add_argument("--mapping", choices=("ccw", "mod4"), default="ccw")

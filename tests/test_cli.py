@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 import tracemalloc
 from pathlib import Path
 
@@ -19,13 +18,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def report_physical_memory(monkeypatch, nbytes):
-    """Make `os.sysconf` report a machine with ``nbytes`` of physical memory."""
-    real = os.sysconf
-    pages = nbytes // real("SC_PAGE_SIZE")
-    monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
-
-
 class TestSieveCommand:
     def test_table_16_matches_fixture(self, capsys):
         code, out, _ = run(capsys, "sieve", "--limit", "16")
@@ -38,9 +30,9 @@ class TestSieveCommand:
         assert first == second
 
 
-    def test_table_text_beyond_memory_is_usage_error(self, capsys, monkeypatch):
+    def test_table_text_beyond_memory_is_usage_error(self, capsys, report_physical_memory):
         # 512 KiB holds the width-1000 store (25 KB) but not its 169k-cell text.
-        report_physical_memory(monkeypatch, 2**19)
+        report_physical_memory(2**19)
         code, out, err = run(capsys, "sieve", "--limit", "1000")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "physical memory" in err
@@ -91,9 +83,9 @@ class TestSequenceCommands:
         assert out == "1 1\n2 1\n3 3\n"
 
     @pytest.mark.parametrize("command", ["levy", "heighway"])
-    def test_30_iterations_exceed_8_gib(self, capsys, monkeypatch, command):
+    def test_30_iterations_exceed_8_gib(self, capsys, report_physical_memory, command):
         # 2**31 Levy or 2**30 Heighway terms at 24 bytes each; refused up front.
-        report_physical_memory(monkeypatch, 8 * 2**30)
+        report_physical_memory(8 * 2**30)
         code, out, err = run(capsys, command, "--iterations", "30")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "physical memory" in err
@@ -177,9 +169,9 @@ class TestRenderCommand:
                        "but render reads b-files from index 1\n")
         assert not out_file.parent.exists()
 
-    def test_trace_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch):
+    def test_trace_beyond_memory_is_usage_error(self, capsys, tmp_path, report_physical_memory):
         # 64 KiB cannot hold the trace and SVG text of 1000 terms.
-        report_physical_memory(monkeypatch, 2**16)
+        report_physical_memory(2**16)
         out_file = tmp_path / "sub" / "x.svg"
         code, out, err = run(capsys, "render", "--p", "2", "--limit", "1000",
                              "-o", str(out_file))
@@ -191,13 +183,17 @@ class TestRenderCommand:
     @pytest.mark.parametrize("flags,memory,message", [
         (["--angle", "200"], None, "error: angle must be within"),
         ([], 2**16, "error: a trace of 1000 terms would not fit in physical memory"),
-    ], ids=["bad-angle", "beyond-memory"])
-    def test_rejected_from_file_writes_nothing(self, capsys, tmp_path, monkeypatch,
+        (["--p", "2"], None, "error: render takes exactly one of --p and --from-file"),
+        (["--limit", "5"], None, "error: render --limit applies to --p, not to --from-file"),
+        (["--stroke-width", "0"], None, "error: stroke width must be finite and above 0"),
+        (["--stroke-width", "nan"], None, "error: stroke width must be finite and above 0"),
+    ], ids=["bad-angle", "beyond-memory", "with-p", "with-limit", "zero-stroke", "nan-stroke"])
+    def test_rejected_from_file_writes_nothing(self, capsys, tmp_path, report_physical_memory,
                                                flags, memory, message):
         src = tmp_path / "terms.bfile"
         src.write_text(format_b_file(bytes(1000)))
         if memory:
-            report_physical_memory(monkeypatch, memory)
+            report_physical_memory(memory)
         out_file = tmp_path / "sub" / "x.svg"
         code, out, err = run(capsys, "render", "--from-file", str(src), *flags,
                              "-o", str(out_file))
@@ -206,8 +202,10 @@ class TestRenderCommand:
         assert not out_file.parent.exists()
 
     def test_missing_source_is_usage_error(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "render", "-o", str(tmp_path / "x.svg"))
-        assert code == 2
+        code, out, err = run(capsys, "render", "-o", str(tmp_path / "x.svg"))
+        assert (code, out) == (2, "")
+        assert err == "error: render takes exactly one of --p and --from-file\n"
+        assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("modulus", ["0", "-3"])
     def test_non_positive_mod_is_usage_error(self, capsys, tmp_path, modulus):
@@ -270,9 +268,10 @@ class TestSequenceSizeGuards:
         ["oddpart"],
         ["render", "--p", "2", "-o", "sub/x.svg"],
     ], ids=lambda argv: argv[0])
-    def test_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+    def test_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                          report_physical_memory, argv):
         # 64 KiB holds none of these commands' 200000 terms; nothing is built.
-        report_physical_memory(monkeypatch, 2**16)
+        report_physical_memory(2**16)
         monkeypatch.chdir(tmp_path)
         tracemalloc.start()
         try:

@@ -3,8 +3,8 @@ from __future__ import annotations
 import ast
 import inspect
 import math
-import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -233,10 +233,8 @@ class TestLimits:
         with pytest.raises(ValueError, match="column store"):
             SieveTable(2**32)
 
-    def test_width_beyond_memory_raises_before_allocating(self, monkeypatch):
-        real = os.sysconf  # the machine reports 1 MiB of physical memory
-        pages = 2**20 // real("SC_PAGE_SIZE")
-        monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+    def test_width_beyond_memory_raises_before_allocating(self, report_physical_memory):
+        report_physical_memory(2**20)  # 1 MiB
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="physical memory"):
@@ -247,11 +245,9 @@ class TestLimits:
         assert peak < 10**5
         assert run_sieve(1000).prime_headers[-1] == 997  # 25 KB still fits
 
-    def test_table_text_beyond_memory_raises_before_building(self, monkeypatch):
+    def test_table_text_beyond_memory_raises_before_building(self, report_physical_memory):
         table = run_sieve(1000)  # 169 rows of 1000 cells, about 1 MB of text at peak
-        real = os.sysconf  # the machine reports 512 KiB of physical memory
-        pages = 2**19 // real("SC_PAGE_SIZE")
-        monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
+        report_physical_memory(2**19)  # 512 KiB
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="physical memory"):
@@ -282,6 +278,15 @@ class TestDivisionFree:
     @pytest.mark.parametrize("construction", [levy_turns, heighway_turns])
     def test_dragon_constructions_do_not_divide(self, construction):
         assert list(_divisions(ast.parse(inspect.getsource(construction)))) == []
+
+    def test_acceptance_criteria_neither_divide_nor_import_an_oracle(self):
+        # The criteria call the verify suites, the one place with oracles.
+        tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+        assert list(_divisions(tree)) == []
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert imported.isdisjoint({"valuation_oracle", "odd_even_parts", "odd_part_mod4",
+                                    "primes_by_trial_division", "trial_division_factor"})
 
     def test_detector_sees_each_form(self):
         src = "a / b\na // b\na % b\nx //= 2\nx %= 3\ndivmod(a, b)\nmath.divmod(a, b)"

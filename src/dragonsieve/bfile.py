@@ -6,7 +6,6 @@ bit-exact so fixtures can be byte-compared.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 # Terms formatted per write; bounds the text held at once to about 1 MB.
@@ -45,12 +44,14 @@ def write_b_file(terms: Sequence[int], out: TextIO) -> None:
         out.write(format_b_file(terms[i : i + _CHUNK], 1 + i))
 
 
-def parse_b_file(lines: Iterable[str]) -> list[int]:
+def parse_b_file(lines: Iterable[str], first: int | None = None) -> list[int]:
     """Parse b-file lines into a term list, checking the index column.
 
     Blank lines and lines starting with ``#`` are skipped.  A line is first
     read as two integers, and only a line that is not is stripped and looked
-    at again, so the usual line costs one ``try``.
+    at again, so the usual line costs one ``try``.  With ``first`` given, a
+    file whose first term line has another index is refused at that line,
+    for `render`, before the rest is read.
     """
     terms: list[int] = []
     append = terms.append
@@ -65,19 +66,14 @@ def parse_b_file(lines: Iterable[str]) -> list[int]:
                 continue
             raise ValueError(f"b-file line {number}: expected '<index> <value>' "
                              f"as two integers, got {line!r}") from None
-        if expected is not None and idx != expected:
-            raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
-                             f"expected {expected}")
+        if idx != expected:
+            if expected is not None:
+                raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
+                                 f"expected {expected}")
+            if first is not None and idx != first:  # an OEIS offset such as A014577's 0
+                raise ValueError(f"b-file line {number}: first index {idx}, "
+                                 f"but render reads b-files from index {first}")
         expected = idx + 1
         append(val)
     return terms
 
-
-def _first_index(path: str | Path) -> tuple[int, int] | None:
-    """(line number, index) of the first term line of a b-file, or None if it has none."""
-    with open(path, encoding="ascii") as fh:
-        for number, line in enumerate(fh, start=1):
-            fields = line.split()
-            if fields and not fields[0].startswith("#"):
-                return number, int(fields[0])
-    return None

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import verify as verify_mod
-from .bfile import _first_index, parse_b_file, write_b_file
+from .bfile import parse_b_file, write_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
 from .limits import require_memory
@@ -126,11 +126,7 @@ def _cmd_render(args) -> int:
         if args.limit is not None:
             raise ValueError("render --limit applies to --p, not to --from-file")
         with open(args.from_file, encoding="ascii") as fh:
-            terms = parse_b_file(fh)
-        first = _first_index(args.from_file)
-        if first and first[1] != 1:  # an OEIS offset other than 1, such as A014577's 0
-            raise ValueError(f"b-file line {first[0]}: first index {first[1]}, "
-                             "but render reads b-files from index 1")
+            terms = parse_b_file(fh, first=1)
         _require_terms("render", len(terms))
     else:
         limit = DEFAULT_RENDER_LIMIT if args.limit is None else args.limit

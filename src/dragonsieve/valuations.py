@@ -3,9 +3,9 @@
 The generator in this module never divides: each sequence is a run of
 bytes (every term is a valuation below 64) that grows by copying the run
 plus a single increment per round.  The division-based functions
-(`valuation_oracle`, `odd_even_parts`, the trial-division helpers) are the
-independent reference side used to cross-check the division-free
-construction, so keep the two halves separate.
+(`valuation_oracle`, `valuations_by_division`, `odd_even_parts`, the
+trial-division helpers) are the independent reference side used to
+cross-check the division-free construction, so keep the two halves separate.
 """
 
 from __future__ import annotations
@@ -80,6 +80,23 @@ def valuation_oracle(p: int, n: int) -> int:
         n //= p
         k += 1
     return k
+
+
+def valuations_by_division(p: int, n: int) -> bytes:
+    """v_p(1), ..., v_p(n) as bytes, by v_p(i) = 1 + v_p(i // p) over the multiples of p.
+
+    The whole-column form of `valuation_oracle`: one division per multiple
+    of p, so a column of 10^6 terms is cheap enough to check in full.
+    """
+    if p < 2:
+        raise ValueError(f"base must be at least 2, got {p}")
+    if n < 0:
+        raise ValueError(f"length must be non-negative, got {n}")
+    v = bytearray(n + 1)
+    for i in range(p, n + 1, p):
+        v[i] = 1 + v[i // p]
+    del v[0]  # index 0 held no term; deleting the head does not move the rest
+    return bytes(v)
 
 
 @dataclass(frozen=True)

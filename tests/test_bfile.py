@@ -44,3 +44,13 @@ def test_non_consecutive_index_message_is_exact():
     with pytest.raises(ValueError) as exc:
         parse_b_file(["0 1\r\n", "# 1 0\n", "2 0\n"])
     assert str(exc.value) == "b-file line 3: non-consecutive index 2, expected 1"
+
+
+def test_first_index_is_refused_at_its_line():
+    # The lines after the first term line are never read.
+    lines = iter(["# A014577\n", "\n", "0 1\n", "1 1\n", "2 x\n"])
+    with pytest.raises(ValueError) as exc:
+        parse_b_file(lines, first=1)
+    assert str(exc.value) == "b-file line 3: first index 0, but render reads b-files from index 1"
+    assert list(lines) == ["1 1\n", "2 x\n"]
+    assert parse_b_file(["# c\n", "1 5\n", "2 6\n"], first=1) == [5, 6]

@@ -169,6 +169,17 @@ class TestRenderCommand:
                        "but render reads b-files from index 1\n")
         assert not out_file.parent.exists()
 
+    def test_b_file_is_refused_at_its_first_term_line(self, capsys, tmp_path):
+        # Line 4 is malformed, but the offset on line 1 is reported: the
+        # file is refused before the parse reaches line 4.
+        src = tmp_path / "terms.bfile"
+        src.write_text("0 1\n1 1\n2 0\n3 x\n")
+        code, out, err = run(capsys, "render", "--from-file", str(src), "-o",
+                             str(tmp_path / "x.svg"))
+        assert (code, out) == (2, "")
+        assert err == ("error: b-file line 1: first index 0, "
+                       "but render reads b-files from index 1\n")
+
     def test_trace_beyond_memory_is_usage_error(self, capsys, tmp_path, report_physical_memory):
         # 64 KiB cannot hold the trace and SVG text of 1000 terms.
         report_physical_memory(2**16)

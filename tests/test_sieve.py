@@ -285,7 +285,8 @@ class TestDivisionFree:
         assert list(_divisions(tree)) == []
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert imported.isdisjoint({"valuation_oracle", "odd_even_parts", "odd_part_mod4",
+        assert imported.isdisjoint({"valuation_oracle", "valuations_by_division",
+                                    "odd_even_parts", "odd_part_mod4",
                                     "primes_by_trial_division", "trial_division_factor"})
 
     def test_detector_sees_each_form(self):

@@ -16,6 +16,7 @@ from dragonsieve import (
     trial_division_factor,
     valuation_oracle,
 )
+from dragonsieve.valuations import valuations_by_division
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -126,6 +127,27 @@ class TestValuationOracle:
     @settings(max_examples=200)
     def test_zero_iff_not_divisible(self, p, n):
         assert (valuation_oracle(p, n) > 0) == (n % p == 0)
+
+
+class TestValuationsByDivision:
+    @given(p=st.integers(min_value=2, max_value=60), n=st.integers(min_value=0, max_value=3000))
+    @example(p=2, n=2048)
+    @example(p=59, n=59**2)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_term_by_term(self, p, n):
+        column = valuations_by_division(p, n)
+        assert type(column) is bytes and len(column) == n
+        for i in range(1, n + 1):
+            assert column[i - 1] == valuation_oracle(p, i)
+
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_rejects_base_below_2(self, p):
+        with pytest.raises(ValueError, match="base must be at least 2"):
+            valuations_by_division(p, 10)
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="length must be non-negative"):
+            valuations_by_division(2, -1)
 
 
 class TestOddEvenParts:

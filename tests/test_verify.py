@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import operator
 import re
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dragonsieve.verify as verify_mod
 from dragonsieve import Failure, ValuationSequence, generate_dci, heighway_turns, levy_turns
@@ -129,6 +132,28 @@ class TestPlantedDefect:
         report = verify_mod.verify_valuations(100)[0]
         assert report.failures == [Failure(self.BAD_INDEX, 0, 1)]
 
+    def test_bad_last_index_is_reported(self, capsys, monkeypatch):
+        plant_in_v2(monkeypatch, 100)  # v2(100) = 2
+        code, out, _ = run(capsys, "verify", "valuations", "--limit", "100")
+        assert code == 1
+        assert without_timing(out).splitlines()[0] == (
+            "FAIL\tdci-matches-division-oracle-p2\tcases=100\t"
+            "first: index=100 expected=2 actual=3")
+        assert verify_mod.verify_valuations(100)[0].failures == [Failure(100, 2, 3)]
+
+    def test_sequence_a_term_short_is_reported(self, capsys, monkeypatch):
+        def short_dci(p, m):
+            return generate_dci(p, m - 1 if p == 2 else m)
+
+        monkeypatch.setattr(verify_mod, "generate_dci", short_dci)
+        code, out, _ = run(capsys, "verify", "valuations", "--limit", "100")
+        lines = without_timing(out).splitlines()
+        assert code == 1
+        assert lines[0] == ("FAIL\tdci-matches-division-oracle-p2\tcases=100\t"
+                            "first: index=100 expected=2 actual=None")
+        assert all(line.startswith("ok\t") for line in lines[1:-1])
+        assert lines[-1] == "FAIL"
+
     @pytest.mark.parametrize("bad_index,line", [
         # Term 3 (v2 = 0) is decimated term 1.
         (3, "FAIL\tdecimation-self-containment-p2\tcases=33\t"
@@ -167,6 +192,56 @@ class TestPlantedDefect:
         code, out, _ = run(capsys, "verify", suite, "--iterations", iterations)
         assert code == 1
         assert without_timing(out).splitlines() == [line, "FAIL"]
+
+
+def naive_first_mismatch(expected, actual, start=1, same=operator.eq):
+    """The per-element reference for `_first_mismatch`: no equality shortcut."""
+    expected, actual = list(expected), list(actual)
+    for k in range(max(len(expected), len(actual))):
+        e = expected[k] if k < len(expected) else None
+        a = actual[k] if k < len(actual) else None
+        if not same(e, a):
+            return [Failure(start + k, e, a)]
+    return []
+
+
+def within_one(e, a):
+    return e is not None and a is not None and abs(a - e) <= 1
+
+
+# Each kind turns the two term lists into what a check hands the helper.
+PAIR_KINDS = {
+    "bytes/bytes": lambda e, a: (bytes(e), bytes(a)),
+    "list/generator": lambda e, a: (list(e), (t for t in a)),
+    "generator/bytes": lambda e, a: ((t for t in e), bytes(a)),
+    "list/list": lambda e, a: (list(e), list(a)),
+    "range/bytes": lambda e, a: (range(len(e)), bytes(a)),
+}
+
+
+@st.composite
+def term_pairs(draw):
+    """Two byte-valued term lists: equal, one term changed, or cut or lengthened."""
+    expected = draw(st.lists(st.integers(0, 255), max_size=40))
+    actual = list(expected)
+    edit = draw(st.sampled_from(["equal", "change", "cut", "extend"]))
+    if edit == "change" and actual:
+        i = draw(st.integers(0, len(actual) - 1))
+        actual[i] = draw(st.integers(0, 255))
+    elif edit == "cut" and actual:
+        del actual[draw(st.integers(0, len(actual) - 1)):]
+    elif edit == "extend":
+        actual += draw(st.lists(st.integers(0, 255), min_size=1, max_size=3))
+    return expected, actual
+
+
+@given(pair=term_pairs(), kind=st.sampled_from(sorted(PAIR_KINDS)),
+       start=st.integers(-5, 10**6), tolerant=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_first_mismatch_equals_per_element_reference(pair, kind, start, tolerant):
+    same = within_one if tolerant else operator.eq
+    got = verify_mod._first_mismatch(*PAIR_KINDS[kind](*pair), start=start, same=same)
+    assert got == naive_first_mismatch(*PAIR_KINDS[kind](*pair), start=start, same=same)
 
 
 def test_small_output_matches_golden(capsys):

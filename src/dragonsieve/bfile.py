@@ -44,16 +44,18 @@ def write_b_file(terms: Sequence[int], out: TextIO) -> None:
         out.write(format_b_file(terms[i : i + _CHUNK], 1 + i))
 
 
-def parse_b_file(lines: Iterable[str], first: int | None = None) -> list[int]:
-    """Parse b-file lines into a term list, checking the index column.
+def parse_b_file(lines: Iterable[str], first: int | None = None) -> bytes | list[int]:
+    """Parse b-file lines into terms, checking the index column.
 
     Blank lines and lines starting with ``#`` are skipped.  A line is first
     read as two integers, and only a line that is not is stripped and looked
     at again, so the usual line costs one ``try``.  With ``first`` given, a
     file whose first term line has another index is refused at that line,
-    for `render`, before the rest is read.
+    for `render`, before the rest is read.  The terms are bytes, one byte a
+    term, unless a value lies outside 0..255; from the first such value on
+    they are collected in a list.
     """
-    terms: list[int] = []
+    terms: bytearray | list[int] = bytearray()
     append = terms.append
     expected = None
     for number, line in enumerate(lines, start=1):
@@ -74,6 +76,11 @@ def parse_b_file(lines: Iterable[str], first: int | None = None) -> list[int]:
                 raise ValueError(f"b-file line {number}: first index {idx}, "
                                  f"but render reads b-files from index {first}")
         expected = idx + 1
-        append(val)
-    return terms
+        try:
+            append(val)
+        except ValueError:  # outside 0..255: the terms no longer fit bytes
+            terms = list(terms)
+            append = terms.append
+            append(val)
+    return bytes(terms) if isinstance(terms, bytearray) else terms
 

@@ -12,6 +12,8 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
+from operator import mod
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -30,13 +32,15 @@ DEFAULT_RENDER_LIMIT = 10**4
 
 # Peak RSS growth per term of each command that holds a whole sequence, as
 # (what it builds, bytes): the largest ru_maxrss growth measured at 10^6 and
-# 10^7 terms (render: 10^5 and 10^6, less the SVG writer's chunk; its largest
-# is `--from-file --mod`, whose terms are lists).  Checked before the command
-# builds anything, or for `render --from-file` before it writes.
+# 10^7 terms (render: 10^5 and 10^6, less the SVG writer's chunk; 16 covers
+# `--from-file --mod` of small ints held as a list, where terms in 0..255,
+# now held as bytes, take about 4, and a list of ints above 255 up to 48).
+# Checked before the command builds anything, or for `render --from-file`
+# before it writes.
 _TERM_COSTS = {
     "seq": ("a valuation sequence", 4),
     "decimate": ("decimated rows", 18),
-    "oddpart": ("an odd-part sequence", 49),
+    "oddpart": ("an odd-part sequence", 10),
     "render": ("a trace", 16),
 }
 # Peak bytes per vertex of the chunk that `write_svg` holds (its x and y
@@ -114,7 +118,7 @@ def _cmd_oddpart(args) -> int:
     _require_terms("oddpart", args.limit)
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
-        terms = [t % 4 for t in terms]
+        terms = bytes(map(mod, terms, repeat(4)))
     write_b_file(terms, sys.stdout)
     return 0
 

@@ -8,6 +8,7 @@ The odd-part reconstruction lives here too.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 
@@ -28,19 +29,20 @@ def aperiodicity_witness(terms: Sequence[int], q: int) -> int | None:
     return None
 
 
-def reconstruct_odd_part(max_index: int) -> list[int]:
+def reconstruct_odd_part(max_index: int) -> array:
     """Rebuild the odd-part sequence by placing odd o at every index o * 2**j.
 
     The index families over j partition the positive integers, so each slot
-    is written exactly once.  Returns a list whose element at position n-1
-    is the odd part of n.
+    is written exactly once, by one stepped-slice assignment per level j.
+    Returns an array('I'), 4 bytes a term, whose element at position n-1 is
+    the odd part of n.
     """
     if max_index < 1:
         raise ValueError(f"max_index must be positive, got {max_index}")
-    out = [0] * max_index
+    out = array("I", [0]) * max_index
     step = 1  # 2**j
     while step <= max_index:
         count = len(range(step, max_index + 1, 2 * step))
-        out[step - 1 :: 2 * step] = range(1, 2 * count, 2)
+        out[step - 1 :: 2 * step] = array("I", range(1, 2 * count, 2))
         step *= 2
     return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterator
 
 from .limits import require_memory
@@ -40,7 +41,7 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def value(self) -> int:
-        return math.prod(p**e for p, e in self.factors)
+        return math.prod(starmap(pow, self.factors))
 
 
 class SieveTable:

@@ -4,14 +4,19 @@ The generator in this module never divides: each sequence is a run of
 bytes (every term is a valuation below 64) that grows by copying the run
 plus a single increment per round.  The division-based functions
 (`valuation_oracle`, `valuations_by_division`, `odd_even_parts`, the
-trial-division helpers) are the independent reference side used to
-cross-check the division-free construction, so keep the two halves separate.
+whole-column odd-part oracles, the trial-division helpers) are the
+independent reference side used to cross-check the division-free
+constructions, so keep the two halves separate.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import and_, floordiv, mod, neg
+from typing import Iterator
 
 # bytes.translate table adding 1 to a term; terms stay far below 255.
 PLUS_ONE = bytes(range(1, 256)) + b"\xff"
@@ -119,6 +124,27 @@ def odd_even_parts(n: int) -> OddEvenDecomposition:
 def odd_part_mod4(n: int) -> int:
     """Odd part of n, modulo 4.  Always 1 or 3."""
     return odd_even_parts(n).odd_part % 4
+
+
+def _odd_parts(n: int) -> Iterator[int]:
+    """i // (i & -i) for i in 1..n, as nested C-level maps: no Python frame per i."""
+    if n < 0:
+        raise ValueError(f"length must be non-negative, got {n}")
+    r = range(1, n + 1)
+    return map(floordiv, r, map(and_, r, map(neg, r)))
+
+
+def odd_parts_by_division(n: int) -> array:
+    """The odd parts of 1, ..., n as array('I'): the whole-column form of `odd_even_parts`."""
+    return array("I", _odd_parts(n))
+
+
+def odd_parts_mod4_by_division(n: int) -> bytes:
+    """The odd parts of 1, ..., n mod 4 as bytes: the whole-column form of `odd_part_mod4`.
+
+    Reduced straight from the map, so no column of odd parts is held.
+    """
+    return bytes(map(mod, _odd_parts(n), repeat(4)))
 
 
 def primes_by_trial_division(limit: int) -> list[int]:

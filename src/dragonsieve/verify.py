@@ -20,11 +20,11 @@ from typing import Callable, Iterable
 from .dragons import heighway_turns, levy_turns
 from .fractal import aperiodicity_witness, decimate_terms, reconstruct_odd_part
 from .render import reduce_mod, trace
-from .sieve import read_factorization, run_sieve
+from .sieve import Factorization, read_factorization, run_sieve
 from .valuations import (
     generate_dci,
-    odd_even_parts,
-    odd_part_mod4,
+    odd_parts_by_division,
+    odd_parts_mod4_by_division,
     primes_by_trial_division,
     valuation_oracle,
     valuations_by_division,
@@ -120,7 +120,8 @@ def verify_sieve(limit: int) -> list[CheckReport]:
         _run("factorization-reconstructs-n", limit - 1,
              lambda: _first_mismatch(
                  range(2, limit + 1),
-                 (read_factorization(table, n).value() for n in range(2, limit + 1)),
+                 map(Factorization.value,
+                     map(read_factorization, repeat(table), range(2, limit + 1))),
                  start=2)),
     ]
 
@@ -153,18 +154,29 @@ def verify_fractal(limit: int, max_period: int) -> list[CheckReport]:
             lambda: [Failure(q, "witness", None) for q in range(1, max_period + 1)
                      if aperiodicity_witness(terms, q) is None]))
 
-    numbers = range(1, limit + 1)
     reports.append(_run(
         "odd-part-reconstruction", limit,
-        lambda: _first_mismatch((odd_even_parts(n).odd_part for n in numbers),
-                                reconstruct_odd_part(limit))))
-    # Each n is its even part times an odd (remainder 1 mod 2) odd part.
-    reports.append(_run(
-        "odd-even-decomposition-identity", limit,
-        lambda: _first_mismatch(((n, 1) for n in numbers),
-                                ((d.even_part * d.odd_part, d.odd_part % 2)
-                                 for d in map(odd_even_parts, numbers)))))
+        lambda: _first_mismatch(odd_parts_by_division(limit), reconstruct_odd_part(limit))))
+    reports.append(_run("odd-even-decomposition-identity", limit,
+                        lambda: _decomposition_identity(limit)))
     return reports
+
+
+def _decomposition_identity(limit: int) -> list[Failure]:
+    """Each n is its even part n & -n times an odd (remainder 1 mod 2) odd part.
+
+    Both halves run in C; only a failing column is walked as (n, 1) against
+    (even * odd, odd % 2) pairs, to locate the first bad n.
+    """
+    numbers = range(1, limit + 1)
+    evens = map(operator.and_, numbers, map(operator.neg, numbers))
+    odds = odd_parts_by_division(limit)
+    if (len(odds) == limit
+            and all(map(operator.eq, map(operator.mul, evens, odds), numbers))
+            and all(map(operator.and_, odds, repeat(1)))):
+        return []
+    return _first_mismatch(((n, 1) for n in numbers),
+                           (((n & -n) * o, o % 2) for n, o in zip(numbers, odds)))
 
 
 def verify_levy(iterations: int) -> list[CheckReport]:
@@ -180,7 +192,7 @@ def verify_heighway(iterations: int) -> list[CheckReport]:
     # Heighway turn n is the odd part of n mod 4.
     terms = heighway_turns(iterations).terms
     return [_run("heighway-turns-equal-odd-part-mod-4", len(terms),
-                 lambda: _first_mismatch(map(odd_part_mod4, range(1, len(terms) + 1)), terms))]
+                 lambda: _first_mismatch(odd_parts_mod4_by_division(len(terms)), terms))]
 
 
 def verify_render(limit: int) -> list[CheckReport]:

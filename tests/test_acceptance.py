@@ -117,7 +117,7 @@ def test_criterion_09_odd_part_machinery():
     t0 = time.perf_counter()
     _passed(verify_fractal(10**6, 10**3),
             ["odd-part-reconstruction", "odd-even-decomposition-identity"])
-    assert reconstruct_odd_part(15) == [1, 1, 3, 1, 5, 3, 7, 1, 9, 5, 11, 3, 13, 7, 15]
+    assert list(reconstruct_odd_part(15)) == [1, 1, 3, 1, 5, 3, 7, 1, 9, 5, 11, 3, 13, 7, 15]
     _criterion(9, "odd-part reconstruction and decomposition identity hold", 5.0, t0)
 
 

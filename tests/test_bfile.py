@@ -10,7 +10,21 @@ from dragonsieve import format_b_file, parse_b_file
 @given(st.lists(st.integers()), st.integers(min_value=-1000, max_value=10**6))
 @settings(max_examples=100)
 def test_parse_inverts_format(terms, start):
-    assert parse_b_file(format_b_file(terms, start).splitlines(keepends=True)) == terms
+    assert list(parse_b_file(format_b_file(terms, start).splitlines(keepends=True))) == terms
+
+
+@pytest.mark.parametrize("values,want", [
+    ([], b""),
+    ([0, 255, 7], b"\x00\xff\x07"),
+    # From the first value outside 0..255 on, the terms are a list.
+    ([5, 256, 6], [5, 256, 6]),
+    ([3, -1], [3, -1]),
+    ([2**70, 1], [2**70, 1]),
+])
+def test_byte_terms_parse_to_bytes(values, want):
+    got = parse_b_file(format_b_file(values).splitlines(keepends=True))
+    assert type(got) is type(want)
+    assert got == want
 
 
 def test_non_consecutive_index_names_its_line():
@@ -31,7 +45,7 @@ def test_block_format_equals_line_by_line(start, n, kind):
 def test_skips_comments_blank_lines_and_whitespace():
     # "# 3" and "#1 2" split into two fields but are still comments.
     lines = ["# 3\n", "#1 2\n", "\n", "   \t\n", "1 5\r\n", "  2   -6  \r\n", "3 7"]
-    assert parse_b_file(lines) == [5, -6, 7]
+    assert list(parse_b_file(lines)) == [5, -6, 7]
 
 
 def test_malformed_line_message_is_exact():
@@ -53,4 +67,4 @@ def test_first_index_is_refused_at_its_line():
         parse_b_file(lines, first=1)
     assert str(exc.value) == "b-file line 3: first index 0, but render reads b-files from index 1"
     assert list(lines) == ["1 1\n", "2 x\n"]
-    assert parse_b_file(["# c\n", "1 5\n", "2 6\n"], first=1) == [5, 6]
+    assert list(parse_b_file(["# c\n", "1 5\n", "2 6\n"], first=1)) == [5, 6]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,7 +136,7 @@ class TestOddPartDecimationIndexes:
 
 class TestReconstructOddPart:
     def test_first_15(self):
-        assert reconstruct_odd_part(15) == [1, 1, 3, 1, 5, 3, 7, 1, 9, 5, 11, 3, 13, 7, 15]
+        assert list(reconstruct_odd_part(15)) == [1, 1, 3, 1, 5, 3, 7, 1, 9, 5, 11, 3, 13, 7, 15]
 
     def test_powers_of_two_hold_1(self):
         out = reconstruct_odd_part(1 << 10)
@@ -152,3 +154,17 @@ class TestReconstructOddPart:
         out = reconstruct_odd_part(3000)
         for n in range(1, 3001):
             assert out[n - 1] == odd_even_parts(n).odd_part
+
+    def test_holds_4_bytes_a_term(self):
+        n = 10**5
+        reconstruct_odd_part(2)  # warm up, so only the array is traced
+        tracemalloc.start()
+        try:
+            out = reconstruct_odd_part(n)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.typecode == "I" and out.itemsize == 4 and len(out) == n
+        assert held <= 4 * n + 1000
+        # The held array and, while it is placed, the first level's n / 2 odd numbers.
+        assert peak <= 6.25 * n

@@ -19,6 +19,7 @@ from dragonsieve import (
     next_candidate,
     primes_by_trial_division,
     read_factorization,
+    reconstruct_odd_part,
     run_sieve,
     trial_division_factor,
     valuation_oracle,
@@ -259,12 +260,19 @@ class TestLimits:
         assert format_table(run_sieve(30)).count("\n") == 11  # 31 * 11 cells still fit
 
 
+# The `operator` and `math` functions that divide, passed by name (say to `map`).
+_DIVIDING_NAMES = {"truediv", "floordiv", "mod", "itruediv", "ifloordiv", "imod", "fmod"}
+
+
 def _divisions(tree):
     ops = (ast.Div, ast.FloorDiv, ast.Mod)
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ops):
             yield ast.unparse(node)
         elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("divmod"):
+            yield ast.unparse(node)
+        elif (isinstance(node, ast.Name) and node.id in _DIVIDING_NAMES
+              or isinstance(node, ast.Attribute) and node.attr in _DIVIDING_NAMES):
             yield ast.unparse(node)
 
 
@@ -279,6 +287,9 @@ class TestDivisionFree:
     def test_dragon_constructions_do_not_divide(self, construction):
         assert list(_divisions(ast.parse(inspect.getsource(construction)))) == []
 
+    def test_reconstruct_odd_part_does_not_divide(self):
+        assert list(_divisions(ast.parse(inspect.getsource(reconstruct_odd_part)))) == []
+
     def test_acceptance_criteria_neither_divide_nor_import_an_oracle(self):
         # The criteria call the verify suites, the one place with oracles.
         tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
@@ -287,8 +298,13 @@ class TestDivisionFree:
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert imported.isdisjoint({"valuation_oracle", "valuations_by_division",
                                     "odd_even_parts", "odd_part_mod4",
+                                    "odd_parts_by_division", "odd_parts_mod4_by_division",
                                     "primes_by_trial_division", "trial_division_factor"})
 
     def test_detector_sees_each_form(self):
         src = "a / b\na // b\na % b\nx //= 2\nx %= 3\ndivmod(a, b)\nmath.divmod(a, b)"
         assert len(list(_divisions(ast.parse(src)))) == 7
+
+    def test_detector_sees_dividing_functions_passed_by_name(self):
+        src = "map(floordiv, r, s)\nmap(operator.mod, r, repeat(4))\nmath.fmod(a, b)"
+        assert list(_divisions(ast.parse(src))) == ["floordiv", "operator.mod", "math.fmod"]

@@ -16,7 +16,11 @@ from dragonsieve import (
     trial_division_factor,
     valuation_oracle,
 )
-from dragonsieve.valuations import valuations_by_division
+from dragonsieve.valuations import (
+    odd_parts_by_division,
+    odd_parts_mod4_by_division,
+    valuations_by_division,
+)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -192,6 +196,26 @@ class TestOddPartMod4:
     @settings(max_examples=100)
     def test_always_1_or_3(self, n):
         assert odd_part_mod4(n) in (1, 3)
+
+
+class TestOddPartsByDivision:
+    @given(n=st.integers(min_value=0, max_value=3000))
+    @example(n=2048)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_odd_even_parts_term_by_term(self, n):
+        column = odd_parts_by_division(n)
+        assert column.typecode == "I" and len(column) == n
+        mod4 = odd_parts_mod4_by_division(n)
+        assert type(mod4) is bytes and len(mod4) == n
+        for i in range(1, n + 1):
+            assert column[i - 1] == odd_even_parts(i).odd_part
+            assert mod4[i - 1] == odd_part_mod4(i)
+
+    @pytest.mark.parametrize("column", [odd_parts_by_division, odd_parts_mod4_by_division])
+    @pytest.mark.parametrize("n", [-1, -2**40])
+    def test_rejects_negative_length(self, column, n):
+        with pytest.raises(ValueError, match="length must be non-negative"):
+            column(n)
 
 
 class TestTrialDivision:

@@ -19,8 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dragonsieve.verify as verify_mod
-from dragonsieve import Failure, ValuationSequence, generate_dci, heighway_turns, levy_turns
+from dragonsieve import (
+    Failure,
+    ValuationSequence,
+    generate_dci,
+    heighway_turns,
+    levy_turns,
+    reconstruct_odd_part,
+)
 from dragonsieve.cli import main
+from dragonsieve.valuations import odd_parts_by_division
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -179,6 +187,10 @@ class TestPlantedDefect:
         ("heighway", "4", heighway_turns, 6, 1,
          "FAIL\theighway-turns-equal-odd-part-mod-4\tcases=15\t"
          "first: index=6 expected=3 actual=1"),
+        # The last Heighway turn at 16 iterations: 65535 = 3 mod 4.
+        ("heighway", "16", heighway_turns, 65535, 1,
+         "FAIL\theighway-turns-equal-odd-part-mod-4\tcases=65535\t"
+         "first: index=65535 expected=3 actual=1"),
     ])
     def test_dragon_defect(self, capsys, monkeypatch, suite, iterations, build, index, turn,
                            line):
@@ -192,6 +204,62 @@ class TestPlantedDefect:
         code, out, _ = run(capsys, "verify", suite, "--iterations", iterations)
         assert code == 1
         assert without_timing(out).splitlines() == [line, "FAIL"]
+
+
+class TestPlantedOddPartDefect:
+    """Odd-part defects, each reported on the line the per-n checks printed."""
+
+    @staticmethod
+    def fractal_lines(capsys, limit):
+        code, out, _ = run(capsys, "verify", "fractal", "--limit", str(limit),
+                           "--max-period", "10")
+        lines = without_timing(out).splitlines()
+        assert code == 1 and lines[-1] == "FAIL"
+        return [line for line in lines if "\todd-" in line]
+
+    @pytest.mark.parametrize("edit,line", [
+        # The odd part of 12 is 3.
+        (lambda out: out.__setitem__(11, 6),
+         "FAIL\todd-part-reconstruction\tcases=100\tfirst: index=12 expected=3 actual=6"),
+        # A term short: the odd part of 100 is 25.
+        (lambda out: out.pop(),
+         "FAIL\todd-part-reconstruction\tcases=100\tfirst: index=100 expected=25 actual=None"),
+    ])
+    def test_reconstruction_defect(self, capsys, monkeypatch, edit, line):
+        def corrupted(max_index):
+            out = reconstruct_odd_part(max_index)
+            edit(out)
+            return out
+
+        monkeypatch.setattr(verify_mod, "reconstruct_odd_part", corrupted)
+        assert self.fractal_lines(capsys, 100) == [
+            line, "ok\todd-even-decomposition-identity\tcases=100\t-"]
+
+    @pytest.mark.parametrize("odd,identity", [
+        # 4 * 6 is not 12, and 6 is even.
+        (6, "first: index=12 expected=(12, 1) actual=(24, 0)"),
+        # 4 * 5 is not 12, though 5 is odd.
+        (5, "first: index=12 expected=(12, 1) actual=(20, 1)"),
+    ])
+    def test_decomposition_defect(self, capsys, monkeypatch, odd, identity):
+        def corrupted(n):
+            column = odd_parts_by_division(n)
+            column[11] = odd
+            return column
+
+        monkeypatch.setattr(verify_mod, "odd_parts_by_division", corrupted)
+        assert self.fractal_lines(capsys, 100) == [
+            f"FAIL\todd-part-reconstruction\tcases=100\tfirst: index=12 expected={odd} actual=3",
+            f"FAIL\todd-even-decomposition-identity\tcases=100\t{identity}"]
+
+    def test_oracle_a_term_short(self, capsys, monkeypatch):
+        # The identity holds on every term given, but the column misses n = 100.
+        monkeypatch.setattr(verify_mod, "odd_parts_by_division",
+                            lambda n: odd_parts_by_division(n - 1))
+        assert self.fractal_lines(capsys, 100) == [
+            "FAIL\todd-part-reconstruction\tcases=100\tfirst: index=100 expected=None actual=25",
+            "FAIL\todd-even-decomposition-identity\tcases=100\t"
+            "first: index=100 expected=(100, 1) actual=None"]
 
 
 def naive_first_mismatch(expected, actual, start=1, same=operator.eq):

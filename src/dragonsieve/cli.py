@@ -22,7 +22,7 @@ from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
 from .limits import require_memory
 from .render import CHUNK as SVG_CHUNK, check_walk, reduce_mod, write_svg
-from .sieve import format_table, read_factorization, run_sieve
+from .sieve import read_factorization, run_sieve, write_table
 from .valuations import TERM_TEXT, generate_dci
 
 OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
@@ -32,20 +32,23 @@ DEFAULT_RENDER_LIMIT = 10**4
 
 # Peak RSS growth per term of each command that holds a whole sequence, as
 # (what it builds, bytes): the largest ru_maxrss growth measured at 10^6 and
-# 10^7 terms (render: 10^5 and 10^6, less the SVG writer's chunk; 16 covers
-# `--from-file --mod` of small ints held as a list, where terms in 0..255,
-# now held as bytes, take about 4, and a list of ints above 255 up to 48).
-# Checked before the command builds anything, or for `render --from-file`
-# before it writes.
+# 10^7 terms (seq: 2.6 B/term at 10^6; render: 10^5 and 10^6, less the SVG
+# writer's chunk, up to 8.5 B/term with `--mod`, from `--p` or from a file of
+# terms in 0..255, which parses to bytes).  Checked before the command builds
+# anything, or for `render --from-file` before it writes.
 _TERM_COSTS = {
-    "seq": ("a valuation sequence", 4),
+    "seq": ("a valuation sequence", 3),
     "decimate": ("decimated rows", 18),
     "oddpart": ("an odd-part sequence", 10),
-    "render": ("a trace", 16),
+    "render": ("a trace", 10),
 }
+# The render figure when a term lies outside 0..255, so `parse_b_file` returns
+# a list of ints: measured as above, 44.4 B/term at 10^5, 40.7 at 10^6 and
+# 46.2 with `--mod 4` at 10^6.
+_LIST_TERM_COST = 48
 # Peak bytes per vertex of the chunk that `write_svg` holds (its x and y
 # columns, the shifted flat list, its tuple and the chunk's text): 211-238
-# under tracemalloc, and 272 so that with 16 B/term it also bounds the RSS
+# under tracemalloc, and 272 so that with 10 B/term it also bounds the RSS
 # growth of `render --from-file` at 10^5 terms.  Render adds min(n + 1, chunk).
 _SVG_BYTES_PER_VERTEX = 272
 
@@ -59,9 +62,9 @@ def _out_path(name: str) -> Path:
     return path
 
 
-def _require_terms(command: str, n: int) -> None:
-    what, per_term = _TERM_COSTS[command]
-    nbytes = per_term * n
+def _require_terms(command: str, n: int, per_term: int | None = None) -> None:
+    what, cost = _TERM_COSTS[command]
+    nbytes = (cost if per_term is None else per_term) * n
     if command == "render":
         nbytes += _SVG_BYTES_PER_VERTEX * min(n + 1, SVG_CHUNK)
     require_memory(f"{what} of {n} terms", nbytes)
@@ -74,7 +77,9 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    sys.stdout.write(format_table(run_sieve(args.limit)))
+    table = run_sieve(args.limit)
+    sys.stdout.flush()
+    write_table(table, sys.stdout.buffer)
     return 0
 
 
@@ -131,7 +136,7 @@ def _cmd_render(args) -> int:
             raise ValueError("render --limit applies to --p, not to --from-file")
         with open(args.from_file, encoding="ascii") as fh:
             terms = parse_b_file(fh, first=1)
-        _require_terms("render", len(terms))
+        _require_terms("render", len(terms), None if isinstance(terms, bytes) else _LIST_TERM_COST)
     else:
         limit = DEFAULT_RENDER_LIMIT if args.limit is None else args.limit
         _require_terms("render", limit)

@@ -18,10 +18,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterator
+from io import BytesIO
+from typing import BinaryIO, Iterator
 
 from .limits import require_memory
-from .valuations import PLUS_ONE, TERM_TEXT, ValuationSequence, generate_dci
+from .valuations import PLUS_ONE, TERM_DIGIT, TERM_TEXT, ValuationSequence, generate_dci
 
 _LINK = "I"  # typecode of ``top`` and ``rest``, which hold values up to m
 _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
@@ -29,8 +30,6 @@ _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
 # the store (9), the multipliers (2), row 2 as bytes with its translated copy
 # (about 1.5) and the primes, 4 bytes each (about 0.3).
 _BYTES_PER_COLUMN = 14
-# Peak bytes per cell of format_table: the rows, their join and the final copy, ~2 each.
-_BYTES_PER_CELL = 6
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,25 @@ def read_factorization(table: SieveTable, n: int) -> Factorization:
 
 def format_table(table: SieveTable) -> str:
     """The table as tab-separated text: header row, then one row per prime."""
-    cells = (len(table._primes) + 1) * table.m
-    require_memory(f"the text of a sieve table of {cells} cells", _BYTES_PER_CELL * cells)
-    lines = ["\t" + "\t".join(map(str, range(1, table.m + 1)))]
+    out = BytesIO()
+    write_table(table, out)
+    return out.getvalue().decode("ascii")
+
+
+def write_table(table: SieveTable, out: BinaryIO) -> None:
+    """Write the ASCII text of `format_table` to the binary stream ``out``, one row at a time.
+
+    A row whose terms are all below 10 is set into a reused buffer of tabs,
+    a digit in every second byte by a `TERM_DIGIT` translation; a row with
+    a larger term leaves a 0 there, and is joined from each term's text.
+    """
+    out.write(("\t" + "\t".join(map(str, range(1, table.m + 1))) + "\n").encode("ascii"))
+    cells = bytearray(b"\t" * (2 * table.m) + b"\n")
     for p, row in table.rows():
-        lines.append(f"{p}\t" + "\t".join(map(TERM_TEXT.__getitem__, row._full)))
-    return "\n".join(lines) + "\n"
+        digits = row._full.translate(TERM_DIGIT)
+        out.write(str(p).encode("ascii"))
+        if 0 not in digits:
+            cells[1::2] = digits
+            out.write(cells)
+        else:
+            out.write(("\t" + "\t".join(map(TERM_TEXT.__getitem__, row._full)) + "\n").encode("ascii"))

@@ -22,6 +22,9 @@ from typing import Iterator
 PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 # The decimal text of each byte term, for writing terms through ``map``.
 TERM_TEXT = [str(t) for t in range(256)]
+# bytes.translate table from a byte term to its one-digit text: terms 0..9 to
+# b"0".."9", and every larger term to the placeholder 0, which is no digit.
+TERM_DIGIT = b"0123456789" + bytes(246)
 
 
 @dataclass(frozen=True)

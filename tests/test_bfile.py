@@ -1,10 +1,75 @@
 from __future__ import annotations
 
+import io
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonsieve import format_b_file, parse_b_file
+from dragonsieve import bfile, format_b_file, generate_dci, parse_b_file, write_b_file
+
+
+def reference_format(terms, start=1):
+    """The b-file text, one line at a time."""
+    return "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=start))
+
+
+def reference_parse(lines, first=None):
+    """The parser as it was before blocks: every line through one loop."""
+    terms = bytearray()
+    append = terms.append
+    expected = None
+    for number, line in enumerate(lines, start=1):
+        try:
+            idx_s, val_s = line.split()
+            idx, val = int(idx_s), int(val_s)
+        except ValueError:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            raise ValueError(f"b-file line {number}: expected '<index> <value>' "
+                             f"as two integers, got {line!r}") from None
+        if idx != expected:
+            if expected is not None:
+                raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
+                                 f"expected {expected}")
+            if first is not None and idx != first:
+                raise ValueError(f"b-file line {number}: first index {idx}, "
+                                 f"but render reads b-files from index {first}")
+        expected = idx + 1
+        try:
+            append(val)
+        except ValueError:
+            terms = list(terms)
+            append = terms.append
+            append(val)
+    return bytes(terms) if isinstance(terms, bytearray) else terms
+
+
+def outcome(parse, lines, first=None):
+    """The value and its type, or the exact message, of one parse."""
+    try:
+        got = parse(lines, first)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(got), got
+
+
+# Terms in 0..9, 10..99 and 100..255, so blocks hold one-, two- and three-digit cells.
+byte_terms = st.lists(st.one_of(st.integers(0, 9), st.integers(10, 99), st.integers(100, 255)),
+                      min_size=1, max_size=40).map(bytes)
+
+
+@given(byte_terms, st.integers(0, 7000), st.integers(min_value=-1000, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_byte_blocks_format_line_by_line(pattern, n, start):
+    terms = (pattern * (n // len(pattern) + 1))[:n]
+    assert format_b_file(terms, start) == reference_format(terms, start)
+    out = io.StringIO()
+    with patch.object(bfile, "_CHUNK", 3000):  # so that 7000 terms cross two chunk ends
+        write_b_file(terms, out)
+    assert out.getvalue() == format_b_file(terms)
 
 
 @given(st.lists(st.integers()), st.integers(min_value=-1000, max_value=10**6))
@@ -68,3 +133,56 @@ def test_first_index_is_refused_at_its_line():
     assert str(exc.value) == "b-file line 3: first index 0, but render reads b-files from index 1"
     assert list(lines) == ["1 1\n", "2 x\n"]
     assert list(parse_b_file(["# c\n", "1 5\n", "2 6\n"], first=1)) == [5, 6]
+
+
+# 3000 lines span four parse blocks: lines 2..999, 1000..1999, 2000..2999 and 3000.
+_N = 3000
+_DEFECTS = {  # each takes a line and the next, and gives what replaces them
+    "crlf": lambda a, b: [a.replace("\n", "\r\n"), b],
+    "leading-zero": lambda a, b: [a.replace(" ", " 0"), b],
+    "plus": lambda a, b: [a.replace(" ", " +"), b],
+    "arabic-indic-digit": lambda a, b: [a.split()[0] + " \u0663\n", b],
+    "comment": lambda a, b: ["# c\n", a, b],
+    "blank": lambda a, b: ["\n", a, b],
+    "empty-string": lambda a, b: ["", a, b],
+    "above-255": lambda a, b: [a.split()[0] + " 256\n", b],
+    "negative": lambda a, b: [a.split()[0] + " -1\n", b],
+    "skipped-index": lambda a, b: [b],
+    "not-an-integer": lambda a, b: [a.split()[0] + " x\n", b],
+    "two-lines-in-one-string": lambda a, b: [a + b],
+    "line-split-across-strings": lambda a, b: [a + b[: b.index(" ")], b[b.index(" ") :]],
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])  # v2 reaches 11, two digits; v3 stays below 10
+@pytest.mark.parametrize("line", [999, 1000, 1500, 1999])  # the second block and its edges
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_block_parse_matches_line_by_line(p, line, defect):
+    lines = format_b_file(generate_dci(p, _N).terms).splitlines(keepends=True)
+    lines[line - 1 : line + 1] = _DEFECTS[defect](*lines[line - 1 : line + 1])
+    text = "".join(lines)  # as a file, the strings are split at each newline again
+    for first in (None, 1):
+        assert outcome(parse_b_file, lines, first) == outcome(reference_parse, lines, first)
+        assert (outcome(parse_b_file, io.StringIO(text), first)
+                == outcome(reference_parse, io.StringIO(text), first))
+
+
+@pytest.mark.parametrize("n", [1000, 1999, 2000])  # the last block one line long, or a full 1000
+def test_block_parse_of_a_cut_file_matches_line_by_line(n):
+    text = format_b_file(generate_dci(2, n).terms)
+    for cut in (text, text[:-1]):
+        lines = cut.splitlines(keepends=True)
+        want = outcome(reference_parse, lines)
+        assert want[0] is bytes
+        assert outcome(parse_b_file, lines) == want
+        assert outcome(parse_b_file, io.StringIO(cut)) == want
+
+
+def test_parse_never_calls_the_public_formatter(monkeypatch):
+    # Reformatting a block is not a write, so the benchmark's count of written bytes excludes it.
+    def refuse(*args):
+        raise AssertionError("format_b_file called")
+
+    text = format_b_file(generate_dci(2, _N).terms)
+    monkeypatch.setattr(bfile, "format_b_file", refuse)
+    assert parse_b_file(io.StringIO(text)) == generate_dci(2, _N).terms

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -30,12 +31,17 @@ class TestSieveCommand:
         assert first == second
 
 
-    def test_table_text_beyond_memory_is_usage_error(self, capsys, report_physical_memory):
-        # 512 KiB holds the width-1000 store (25 KB) but not its 169k-cell text.
+    def test_table_text_needs_memory_for_the_store_only(self, capsys, report_physical_memory):
+        # The width-1000 store (14 KB) fits in 512 KiB and its 340 KB of text streams;
+        # 8 KiB holds no store.
+        _, want, _ = run(capsys, "sieve", "--limit", "1000")
         report_physical_memory(2**19)
+        assert run(capsys, "sieve", "--limit", "1000") == (0, want, "")
+        report_physical_memory(2**13)
         code, out, err = run(capsys, "sieve", "--limit", "1000")
         assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and "physical memory" in err
+        assert err == ("error: a sieve table of width 1000 would not fit in physical memory "
+                       f"({2**13} bytes)\n")
 
 
 class TestSeqCommand:
@@ -179,6 +185,23 @@ class TestRenderCommand:
         assert (code, out) == (2, "")
         assert err == ("error: b-file line 1: first index 0, "
                        "but render reads b-files from index 1\n")
+
+    @pytest.mark.parametrize("head,per_term", [(0, 10), (256, 48)], ids=["bytes", "list"])
+    def test_from_file_guard_charges_what_the_parse_holds(self, capsys, tmp_path,
+                                                          report_physical_memory, head, per_term):
+        # A term of 256 makes the parse a list of ints.  10^4 terms need per_term bytes each
+        # plus the SVG writer's chunk, 272 bytes for each of 8192 vertices, and not a byte less.
+        src = tmp_path / "terms.bfile"
+        src.write_text(format_b_file([head] + [1] * 9999))
+        argv = ("render", "--from-file", str(src), "-o", str(tmp_path / "x.svg"))
+        need = per_term * 10**4 + 272 * 8192
+        page = os.sysconf("SC_PAGE_SIZE")
+        report_physical_memory(need - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a trace of 10000 terms would not fit in physical memory")
+        report_physical_memory(need + page)
+        assert run(capsys, *argv)[0] == 0
 
     def test_trace_beyond_memory_is_usage_error(self, capsys, tmp_path, report_physical_memory):
         # 64 KiB cannot hold the trace and SVG text of 1000 terms.

@@ -246,18 +246,25 @@ class TestLimits:
         assert peak < 10**5
         assert run_sieve(1000).prime_headers[-1] == 997  # 25 KB still fits
 
-    def test_table_text_beyond_memory_raises_before_building(self, report_physical_memory):
-        table = run_sieve(1000)  # 169 rows of 1000 cells, about 1 MB of text at peak
-        report_physical_memory(2**19)  # 512 KiB
+    def test_table_text_is_written_a_row_at_a_time(self):
+        # 25 MB of text from a 140 KB store, holding about one row and the header at a time.
+        table = run_sieve(10**4)
+
+        class Sink:
+            written = 0
+
+            def write(self, data):
+                self.written += len(data)
+
+        sink = Sink()
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="physical memory"):
-                format_table(table)
+            sieve.write_table(table, sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10**4
-        assert format_table(run_sieve(30)).count("\n") == 11  # 31 * 11 cells still fit
+        assert sink.written == len(format_table(table)) > 20 * 2**20
+        assert peak < 2**20
 
 
 # The `operator` and `math` functions that divide, passed by name (say to `map`).

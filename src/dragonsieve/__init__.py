@@ -1,12 +1,7 @@
 """Division-free valuation sieve, fractal sequence checks, dragon-curve rendering."""
 
 from .bfile import format_b_file, parse_b_file, write_b_file
-from .dragons import (
-    HeighwayTurnSequence,
-    LevyTurnSequence,
-    heighway_turns,
-    levy_turns,
-)
+from .dragons import TurnSequence, heighway_turns, levy_turns
 from .fractal import (
     aperiodicity_witness,
     decimate_terms,
@@ -16,8 +11,6 @@ from .render import PolylinePath, to_svg, trace, write_svg
 from .sieve import (
     Factorization,
     SieveTable,
-    format_table,
-    next_candidate,
     read_factorization,
     run_sieve,
 )
@@ -39,20 +32,17 @@ __all__ = [
     "CheckReport",
     "Factorization",
     "Failure",
-    "HeighwayTurnSequence",
-    "LevyTurnSequence",
     "OddEvenDecomposition",
     "PolylinePath",
     "SieveTable",
+    "TurnSequence",
     "ValuationSequence",
     "aperiodicity_witness",
     "decimate_terms",
     "format_b_file",
-    "format_table",
     "generate_dci",
     "heighway_turns",
     "levy_turns",
-    "next_candidate",
     "odd_even_parts",
     "odd_part_mod4",
     "parse_b_file",

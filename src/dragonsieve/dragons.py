@@ -21,23 +21,18 @@ _BYTES_PER_TERM = 10
 
 
 @dataclass(frozen=True)
-class LevyTurnSequence:
-    """Counts of CCW quarter turns along the Levy dragon, 2**(j+1) - 1 terms."""
+class TurnSequence:
+    """The turns along a dragon curve, one byte term each."""
 
-    iterations: int
     terms: bytes
 
 
-@dataclass(frozen=True)
-class HeighwayTurnSequence:
-    """Heighway dragon turns over {1, 3}, 2**j - 1 terms (endpoint 0s stripped)."""
+def levy_turns(iterations: int) -> TurnSequence:
+    """Counts of CCW quarter turns along the Levy dragon, 2**(j+1) - 1 terms.
 
-    iterations: int
-    terms: bytes
-
-
-def levy_turns(iterations: int) -> LevyTurnSequence:
-    """Apply {increment all; insert 3 between each pair; add boundary 3s} j times to <3>."""
+    Apply {increment all; insert 3 between each pair; add boundary 3s} j
+    times to <3>.
+    """
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     require_memory(f"a Levy dragon of {iterations} iterations",
@@ -47,12 +42,13 @@ def levy_turns(iterations: int) -> LevyTurnSequence:
         out = bytearray(b"\x03") * (2 * len(seq) + 1)
         out[1::2] = seq.translate(PLUS_ONE)
         seq = out
-    return LevyTurnSequence(iterations, bytes(seq))
+    return TurnSequence(bytes(seq))
 
 
-def heighway_turns(iterations: int) -> HeighwayTurnSequence:
-    """Run the fold-insertion rounds from <0, 0>, then strip the boundary 0s.
+def heighway_turns(iterations: int) -> TurnSequence:
+    """Heighway dragon turns over {1, 3}, 2**j - 1 terms.
 
+    Run the fold-insertion rounds from <0, 0>, then strip the boundary 0s.
     Each round inserts between adjacent terms a 1 when the pair's first term
     sat at an odd 1-based index at round start (leading 0 counted as index
     1), else a 3.
@@ -68,4 +64,4 @@ def heighway_turns(iterations: int) -> HeighwayTurnSequence:
         out[0::2] = seq
         out[1::2] = (b"\x01\x03" * n)[: n - 1]  # 1 after odd indexes 1, 3, ...; 3 after even
         seq = out
-    return HeighwayTurnSequence(iterations, bytes(memoryview(seq)[1:-1]))
+    return TurnSequence(bytes(memoryview(seq)[1:-1]))

@@ -18,8 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import starmap
-from io import BytesIO
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 from .limits import require_memory
 from .valuations import PLUS_ONE, TERM_DIGIT, TERM_TEXT, ValuationSequence, generate_dci
@@ -59,7 +58,6 @@ class SieveTable:
         self._rest = array(_LINK, [0]) * (m + 1)
         # Multipliers 0..K for the largest K, p = 2's; sized by a range, not m // 2.
         self._ks = array(_LINK, range(len(range(2, m + 1, 2)) + 1))
-        self._scan_from = 2
 
     @property
     def prime_headers(self) -> list[int]:
@@ -69,9 +67,6 @@ class SieveTable:
         if not 2 <= p <= self.m or self._top[p] != p:
             raise KeyError(f"no row for {p}")
         return generate_dci(p, self.m)
-
-    def rows(self) -> Iterator[tuple[int, ValuationSequence]]:
-        return ((p, self.row(p)) for p in self._primes)
 
     def place_row(self, p: int, row: ValuationSequence) -> None:
         """Place prime p from its DCI sequence, of which the first K terms are read."""
@@ -90,18 +85,16 @@ class SieveTable:
         self.place_row(p, generate_dci(p, len(range(p, self.m + 1, p))))
 
 
-def next_candidate(table: SieveTable) -> int | None:
-    """Smallest header > 1 whose column below is all zeros, or None if exhausted."""
-    h = table._exp.find(0, table._scan_from)
-    table._scan_from = h if h > 0 else table.m + 1  # columns never unmark
-    return h if h > 0 else None
-
-
 def run_sieve(m: int) -> SieveTable:
-    """Run the sieve to width m: discover primes left to right, place rows."""
+    """Run the sieve to width m: the next column above 1 that no row reaches is the next prime.
+
+    Columns never unmark, so each scan starts just past the last prime.
+    """
     table = SieveTable(m)
-    while (p := next_candidate(table)) is not None:
+    p = table._exp.find(0, 2)
+    while p > 0:
         table.place_row(p, generate_dci(p, len(range(p, m + 1, p))))
+        p = table._exp.find(0, p + 1)
     return table
 
 
@@ -121,23 +114,22 @@ def read_factorization(table: SieveTable, n: int) -> Factorization:
     return Factorization(n, tuple(reversed(factors)))
 
 
-def format_table(table: SieveTable) -> str:
-    """The table as tab-separated text: header row, then one row per prime."""
-    out = BytesIO()
-    write_table(table, out)
-    return out.getvalue().decode("ascii")
-
-
 def write_table(table: SieveTable, out: BinaryIO) -> None:
-    """Write the ASCII text of `format_table` to the binary stream ``out``, one row at a time.
+    """Write the table as tab-separated ASCII to the binary stream ``out``.
 
-    A row whose terms are all below 10 is set into a reused buffer of tabs,
-    a digit in every second byte by a `TERM_DIGIT` translation; a row with
-    a larger term leaves a 0 there, and is joined from each term's text.
+    The header row, the columns 1..m, is written 1000 columns at a time;
+    then one row per prime, its header first.  A row whose terms are all
+    below 10 is set into a reused buffer of tabs, a digit in every second
+    byte by a `TERM_DIGIT` translation; a row with a larger term leaves a 0
+    there, and is joined from each term's text.
     """
-    out.write(("\t" + "\t".join(map(str, range(1, table.m + 1))) + "\n").encode("ascii"))
-    cells = bytearray(b"\t" * (2 * table.m) + b"\n")
-    for p, row in table.rows():
+    m = table.m
+    for j in range(1, m + 1, 1000):
+        out.write(("\t" + "\t".join(map(str, range(j, min(j + 1000, m + 1))))).encode("ascii"))
+    out.write(b"\n")
+    cells = bytearray(b"\t" * (2 * m) + b"\n")
+    for p in table._primes:
+        row = table.row(p)
         digits = row._full.translate(TERM_DIGIT)
         out.write(str(p).encode("ascii"))
         if 0 not in digits:

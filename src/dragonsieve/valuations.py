@@ -48,9 +48,6 @@ class ValuationSequence:
         """The ``m`` terms as they are held, one byte each, without a copy."""
         return self._full
 
-    def __len__(self) -> int:
-        return self.m
-
 
 def generate_dci(p: int, m: int) -> ValuationSequence:
     """Build the valuation sequence for ``p`` by duplicate-concatenate-increment.

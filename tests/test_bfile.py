@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from array import array
 from unittest.mock import patch
 
 import pytest
@@ -97,12 +98,22 @@ def test_non_consecutive_index_names_its_line():
         parse_b_file(["# header\n", "1 0\n", "3 0\n"])
 
 
+# Terms of each kind the writers take, n of them: lists and tuples take negative
+# terms and terms above 255; `oddpart` writes odd parts as an array('I').
+_TERMS_OF_KIND = {
+    "bytes": lambda n: bytes(i % 256 for i in range(n)),
+    "bytearray": lambda n: bytearray(i % 256 for i in range(n)),
+    "array": lambda n: array("I", range(1, 14 * n, 14)),
+    "list": lambda n: list(range(-999, 7 * n - 999, 7)),
+    "tuple": lambda n: tuple(range(-999, 7 * n - 999, 7)),
+}
+
+
 @pytest.mark.parametrize("start", [1, 2, 999, 1000, 1001, 65537])
 @pytest.mark.parametrize("n", [0, 1, 12_345, 34_500])  # past 1000 and 10^4; 65537 passes 10^5
-@pytest.mark.parametrize("kind", [bytes, list, tuple])
+@pytest.mark.parametrize("kind", list(_TERMS_OF_KIND))
 def test_block_format_equals_line_by_line(start, n, kind):
-    # Lists and tuples take negative terms and terms above 255.
-    terms = bytes(i % 256 for i in range(n)) if kind is bytes else kind(range(-999, 7 * n - 999, 7))
+    terms = _TERMS_OF_KIND[kind](n)
     want = "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=start))
     assert format_b_file(terms, start) == want
 

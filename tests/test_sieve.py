@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import tracemalloc
+from io import BytesIO
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,9 @@ from hypothesis import strategies as st
 
 from dragonsieve import (
     SieveTable,
-    format_table,
     generate_dci,
     heighway_turns,
     levy_turns,
-    next_candidate,
     primes_by_trial_division,
     read_factorization,
     reconstruct_odd_part,
@@ -46,6 +45,13 @@ def literal_sieve(m):
 def literal_factors(rows, n):
     """Oracle: column n's positive entries, paired with their rows, in row order."""
     return tuple((p, row[n - 1]) for p, row in rows.items() if row[n - 1] > 0)
+
+
+def table_text(table):
+    """The text `write_table` writes, as a string."""
+    out = BytesIO()
+    sieve.write_table(table, out)
+    return out.getvalue().decode("ascii")
 
 
 class TestRunSieve:
@@ -78,31 +84,16 @@ class TestRunSieve:
 
     def test_rows_hold_valuation_sequences(self):
         table = run_sieve(16)
-        for p, row in table.rows():
-            assert row.terms == generate_dci(p, 16).terms
+        for p in table.prime_headers:
+            assert table.row(p).terms == generate_dci(p, 16).terms
 
-
-class TestNextCandidate:
-    def test_empty_table_starts_at_2(self):
-        assert next_candidate(SieveTable(10)) == 2
-
-    def test_after_2_and_3_comes_5(self):
-        table = SieveTable(10)
-        for p in (2, 3):
-            table.place_row(p, generate_dci(p, 10))
-        assert next_candidate(table) == 5
-
-    def test_exhausted_at_16(self):
-        table = run_sieve(16)
-        assert next_candidate(table) is None
-        assert literal_next({p: row.terms for p, row in table.rows()}, 16) is None
-
-    def test_scan_resumes_where_it_stopped(self):
-        table = SieveTable(10)
-        assert next_candidate(table) == 2
-        assert next_candidate(table) == 2  # unchanged until a row is placed
-        table.place_row(2, generate_dci(2, 5))
-        assert next_candidate(table) == 3
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 16])
+    def test_scan_finds_every_prime_and_leaves_no_column_unreached(self, m):
+        # The scan starts at 2, steps from 2 and 3 to 5, and ends past m.
+        table = run_sieve(m)
+        assert table.prime_headers == primes_by_trial_division(m)
+        assert all(read_factorization(table, n).factors for n in range(2, m + 1))
+        assert literal_next({p: table.row(p).terms for p in table.prime_headers}, m) is None
 
 
 class TestReadFactorization:
@@ -162,12 +153,12 @@ class TestReadFactorization:
 class TestFormatTable:
     def test_width_3(self):
         table = run_sieve(3)
-        assert format_table(table) == ("\t1\t2\t3\n" "2\t0\t1\t0\n" "3\t0\t0\t1\n")
+        assert table_text(table) == ("\t1\t2\t3\n" "2\t0\t1\t0\n" "3\t0\t0\t1\n")
 
     def test_row_product_reconstructs(self):
         # math.prod over parsed rows doubles as a layout sanity check
         table = run_sieve(12)
-        lines = format_table(table).splitlines()
+        lines = table_text(table).splitlines()
         header = lines[0].split("\t")
         assert header[1:] == [str(n) for n in range(1, 13)]
         n = 12
@@ -184,7 +175,7 @@ class TestFormatTable:
         lines = ["\t" + "\t".join(str(n) for n in numbers)]
         for p in primes_by_trial_division(m):
             lines.append(f"{p}\t" + "\t".join(str(valuation_oracle(p, n)) for n in numbers))
-        assert format_table(run_sieve(m)) == "\n".join(lines) + "\n"
+        assert table_text(run_sieve(m)) == "\n".join(lines) + "\n"
 
 
 class TestPlaceRow:
@@ -246,9 +237,9 @@ class TestLimits:
         assert peak < 10**5
         assert run_sieve(1000).prime_headers[-1] == 997  # 25 KB still fits
 
-    def test_table_text_is_written_a_row_at_a_time(self):
-        # 25 MB of text from a 140 KB store, holding about one row and the header at a time.
-        table = run_sieve(10**4)
+    @staticmethod
+    def written_and_peak(table):
+        """Bytes `write_table` writes to a counting sink, and its tracemalloc peak."""
 
         class Sink:
             written = 0
@@ -263,7 +254,20 @@ class TestLimits:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sink.written == len(format_table(table)) > 20 * 2**20
+        return sink.written, peak
+
+    def test_table_text_is_written_a_row_at_a_time(self):
+        # 25 MB of text from a 140 KB store, holding about one row and the header at a time.
+        table = run_sieve(10**4)
+        written, peak = self.written_and_peak(table)
+        assert written == len(table_text(table)) > 20 * 2**20
+        assert peak < 2**20
+
+    def test_header_is_written_in_blocks(self):
+        # 0.59 MB of header text; the whole header as one join peaked at 6.8 MB.
+        table = SieveTable(10**5)
+        written, peak = self.written_and_peak(table)
+        assert written == len(table_text(table)) == 588_896
         assert peak < 2**20
 
 

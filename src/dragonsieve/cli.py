@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import repeat
@@ -21,7 +20,7 @@ from .bfile import parse_b_file, write_b_file
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
 from .limits import require_memory
-from .render import CHUNK as SVG_CHUNK, check_walk, reduce_mod, write_svg
+from .render import check_svg, reduce_mod, write_svg
 from .sieve import read_factorization, run_sieve, write_table
 from .valuations import TERM_TEXT, generate_dci
 
@@ -29,29 +28,6 @@ OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
 
 # Desk-scale default, overridable by a flag.
 DEFAULT_RENDER_LIMIT = 10**4
-
-# Peak RSS growth per term of each command that holds a whole sequence, as
-# (what it builds, bytes): the largest ru_maxrss growth measured at 10^6 and
-# 10^7 terms (seq: 2.6 B/term at 10^6; render: 10^5 and 10^6, less the SVG
-# writer's chunk, up to 8.5 B/term with `--mod`, from `--p` or from a file of
-# terms in 0..255, which parses to bytes).  Checked before the command builds
-# anything, or for `render --from-file` before it writes.
-_TERM_COSTS = {
-    "seq": ("a valuation sequence", 3),
-    "decimate": ("decimated rows", 18),
-    "oddpart": ("an odd-part sequence", 10),
-    "render": ("a trace", 10),
-}
-# The render figure when a term lies outside 0..255, so `parse_b_file` returns
-# a list of ints: measured as above, 44.4 B/term at 10^5, 40.7 at 10^6 and
-# 46.2 with `--mod 4` at 10^6.
-_LIST_TERM_COST = 48
-# Peak bytes per vertex of the chunk that `write_svg` holds (its x and y
-# columns, the shifted flat list, its tuple and the chunk's text): 211-238
-# under tracemalloc, and 272 so that with 10 B/term it also bounds the RSS
-# growth of `render --from-file` at 10^5 terms.  Render adds min(n + 1, chunk).
-_SVG_BYTES_PER_VERTEX = 272
-
 
 def _out_path(name: str) -> Path:
     base = os.environ.get(OUTDIR_ENV)
@@ -62,16 +38,7 @@ def _out_path(name: str) -> Path:
     return path
 
 
-def _require_terms(command: str, n: int, per_term: int | None = None) -> None:
-    what, cost = _TERM_COSTS[command]
-    nbytes = (cost if per_term is None else per_term) * n
-    if command == "render":
-        nbytes += _SVG_BYTES_PER_VERTEX * min(n + 1, SVG_CHUNK)
-    require_memory(f"{what} of {n} terms", nbytes)
-
-
 def _cmd_seq(args) -> int:
-    _require_terms("seq", args.limit)
     write_b_file(generate_dci(args.p, args.limit).terms, sys.stdout)
     return 0
 
@@ -95,7 +62,8 @@ def _cmd_factor(args) -> int:
 def _cmd_decimate(args) -> int:
     if args.levels < 0:
         raise ValueError(f"levels must be non-negative, got {args.levels}")
-    _require_terms("decimate", args.limit)
+    # Every row and its text: 18 bytes a term, the largest RSS growth measured at 10^6 and 10^7.
+    require_memory(f"decimated rows of {args.limit} terms", 18 * args.limit)
     current = generate_dci(args.p, args.limit).terms
     rows = [("Original", current)]
     for level in range(args.levels):
@@ -120,7 +88,6 @@ def _cmd_heighway(args) -> int:
 
 
 def _cmd_oddpart(args) -> int:
-    _require_terms("oddpart", args.limit)
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
         terms = bytes(map(mod, terms, repeat(4)))
@@ -136,17 +103,13 @@ def _cmd_render(args) -> int:
             raise ValueError("render --limit applies to --p, not to --from-file")
         with open(args.from_file, encoding="ascii") as fh:
             terms = parse_b_file(fh, first=1)
-        _require_terms("render", len(terms), None if isinstance(terms, bytes) else _LIST_TERM_COST)
     else:
         limit = DEFAULT_RENDER_LIMIT if args.limit is None else args.limit
-        _require_terms("render", limit)
         terms = generate_dci(args.p, limit).terms
+    mapping = "categorical-mod4" if args.mapping == "mod4" else "ccw-count"
+    check_svg(terms, args.angle, mapping, args.stroke_width)  # before the output file exists
     if args.mod is not None:
         terms = reduce_mod(terms, args.mod)
-    mapping = "categorical-mod4" if args.mapping == "mod4" else "ccw-count"
-    check_walk(terms, args.angle, mapping)  # before the output file exists
-    if not 0 < args.stroke_width < math.inf:
-        raise ValueError(f"stroke width must be finite and above 0, got {args.stroke_width}")
     out = _out_path(args.output)
     with out.open("w", encoding="utf-8") as fh:
         write_svg(terms, fh, args.angle, mapping, args.clockwise, stroke_width=args.stroke_width)

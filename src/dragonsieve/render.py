@@ -77,7 +77,7 @@ def trace(
     ``clockwise`` flips chirality.  The turtle starts at the origin heading
     +x.  Move first, then turn: term n is the turn applied at arrival point n.
     """
-    check_walk(terms, angle, mapping)
+    _check_walk(terms, angle, mapping)
     require_memory(f"a trace of {len(terms)} terms", _BYTES_PER_TERM * len(terms))
     angle = Fraction(angle)
     columns = _walk(terms, angle, mapping, clockwise)
@@ -98,17 +98,30 @@ def write_svg(
 
     The walk runs twice: once for the bounding box, then again for the
     points, written ``CHUNK`` vertices at a time.  No more than one chunk
-    of vertices is held.  The arguments are checked before anything is
-    written.
+    of vertices is held.  `check_svg` runs before anything is written.
     """
-    check_walk(terms, angle, mapping)
+    check_svg(terms, angle, mapping, stroke_width)
     angle = Fraction(angle)
     box = _bounds(_walk(terms, angle, mapping, clockwise))
     out.writelines(_svg_text(_walk(terms, angle, mapping, clockwise), box, stroke_width,
                              angle in _LATTICE_UNITS))
 
 
-def check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str) -> None:
+def check_svg(terms: Sequence[int], angle: float | int | Fraction, mapping: str,
+              stroke_width: float) -> None:
+    """Raise ValueError unless `write_svg` takes these arguments and fits in memory."""
+    _check_walk(terms, angle, mapping)
+    _check_stroke_width(stroke_width)
+    # Peak RSS growth of `render` per term, the terms' construction or parse
+    # included, as bytes or as a list of ints (up to 8.5 and 46.2 measured at
+    # 10^5 and 10^6 terms, with `--mod`), and per vertex of the chunk held
+    # (211-238 under tracemalloc; 272 also bounds `render --from-file` at 10^5).
+    per_term = 10 if isinstance(terms, (bytes, bytearray)) else 48
+    require_memory(f"a trace of {len(terms)} terms",
+                   per_term * len(terms) + 272 * min(len(terms) + 1, CHUNK))
+
+
+def _check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str) -> None:
     """Raise ValueError unless ``trace`` and ``write_svg`` take these arguments."""
     if not terms:
         raise ValueError("no terms to trace")
@@ -116,6 +129,11 @@ def check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str
         raise ValueError(f"angle must be within (0, 180], got {angle}")
     if mapping not in (CCW_COUNT, CATEGORICAL_MOD4):
         raise ValueError(f"unknown mapping {mapping!r}")
+
+
+def _check_stroke_width(stroke_width: float) -> None:
+    if not 0 < stroke_width < math.inf:
+        raise ValueError(f"stroke width must be finite and above 0, got {stroke_width}")
 
 
 def _walk(
@@ -180,6 +198,7 @@ def to_svg(path: PolylinePath, *, stroke_width: float = 1.0) -> str:
     vertices = path.vertices
     if not vertices:
         raise ValueError("cannot render an empty path")
+    _check_stroke_width(stroke_width)
     box = _bounds(_columns(vertices))
     return "".join(_svg_text(_columns(vertices), box, stroke_width, path.lattice))
 

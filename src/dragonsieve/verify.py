@@ -154,9 +154,9 @@ def verify_fractal(limit: int, max_period: int) -> list[CheckReport]:
             lambda: [Failure(q, "witness", None) for q in range(1, max_period + 1)
                      if aperiodicity_witness(terms, q) is None]))
 
-    reports.append(_run(
-        "odd-part-reconstruction", limit,
-        lambda: _first_mismatch(odd_parts_by_division(limit), reconstruct_odd_part(limit))))
+    odd_parts = reconstruct_odd_part(limit)
+    reports.append(_run("odd-part-reconstruction", limit,
+                        lambda: _first_mismatch(odd_parts_by_division(limit), odd_parts)))
     reports.append(_run("odd-even-decomposition-identity", limit,
                         lambda: _decomposition_identity(limit)))
     return reports

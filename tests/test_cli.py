@@ -301,7 +301,11 @@ class TestSequenceSizeGuards:
         ["decimate", "--p", "2"],
         ["oddpart"],
         ["render", "--p", "2", "-o", "sub/x.svg"],
-    ], ids=lambda argv: argv[0])
+        ["verify", "valuations"],
+        ["verify", "fractal"],
+        ["verify", "render"],
+    ], ids=["seq", "decimate", "oddpart", "render",
+            "verify-valuations", "verify-fractal", "verify-render"])
     def test_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                           report_physical_memory, argv):
         # 64 KiB holds none of these commands' 200000 terms; nothing is built.

@@ -155,6 +155,18 @@ class TestReconstructOddPart:
         for n in range(1, 3001):
             assert out[n - 1] == odd_even_parts(n).odd_part
 
+    def test_length_beyond_memory_raises_before_allocating(self, report_physical_memory):
+        report_physical_memory(2**16)  # 64 KiB, against 10 bytes a term
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="an odd-part sequence of 200000 terms "
+                                                 "would not fit in physical memory"):
+                reconstruct_odd_part(200000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
     def test_holds_4_bytes_a_term(self):
         n = 10**5
         reconstruct_odd_part(2)  # warm up, so only the array is traced

@@ -286,6 +286,31 @@ class TestWriteSvg:
             write_svg(terms, out, angle, mapping)
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("stroke_width", [0, -2, math.nan, math.inf])
+    def test_rejects_stroke_width_before_writing(self, stroke_width):
+        out = io.StringIO()
+        match = "stroke width must be finite and above 0"
+        with pytest.raises(ValueError, match=match):
+            write_svg((0, 1), out, stroke_width=stroke_width)
+        assert out.getvalue() == ""
+        with pytest.raises(ValueError, match=match):
+            to_svg(trace((0, 1)), stroke_width=stroke_width)
+
+    @pytest.mark.parametrize("terms,per_term", [(bytes(1000), 10), ([0] * 1000, 48)],
+                             ids=["bytes", "list"])
+    def test_rejects_walk_beyond_memory_before_writing(self, report_physical_memory,
+                                                        terms, per_term):
+        # per_term bytes a term and 272 for each vertex of the chunk, and not a byte less.
+        need = per_term * 1000 + 272 * 1001
+        report_physical_memory(need - 1)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="a trace of 1000 terms would not fit"):
+            write_svg(terms, out)
+        assert out.getvalue() == ""
+        report_physical_memory(need + os.sysconf("SC_PAGE_SIZE"))
+        write_svg(terms, out)
+        assert out.getvalue().endswith("</svg>\n")
+
     def test_peak_memory_does_not_grow_with_the_walk(self):
         def peak(n):
             terms = generate_dci(2, n).terms

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import os
 import tracemalloc
 from io import BytesIO
 from pathlib import Path
@@ -236,6 +237,16 @@ class TestLimits:
             tracemalloc.stop()
         assert peak < 10**5
         assert run_sieve(1000).prime_headers[-1] == 997  # 25 KB still fits
+
+    def test_rows_are_not_checked_one_by_one(self, monkeypatch):
+        # Each memory check reads the physical memory through os.sysconf.  The
+        # 12251 rows of width 2^17 make no check of their own but p = 2's, of
+        # 2^16 terms; the table makes one.
+        real, calls = os.sysconf, []
+        monkeypatch.setattr(os, "sysconf", lambda k: calls.append(k) or real(k))
+        table = run_sieve(2**17)
+        assert len(table.prime_headers) == 12251
+        assert 0 < calls.count("SC_PHYS_PAGES") <= 5
 
     @staticmethod
     def written_and_peak(table):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,25 @@ class TestGenerateDci:
         while p**j <= m:
             assert terms[p**j - 1] == j
             j += 1
+
+    def test_length_beyond_memory_raises_before_allocating(self, report_physical_memory):
+        report_physical_memory(2**16)  # 64 KiB, against 3 bytes a term
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="a valuation sequence of 200000 terms "
+                                                 "would not fit in physical memory"):
+                generate_dci(2, 200000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+    def test_lengths_below_2_to_the_16_are_not_checked(self, report_physical_memory):
+        # Under 192 KiB, so the sieve's many short rows skip the check.
+        report_physical_memory(2**13)
+        assert len(generate_dci(2, 2**16 - 1).terms) == 2**16 - 1
+        with pytest.raises(ValueError, match="physical memory"):
+            generate_dci(2, 2**16)
 
 
 def test_terms_are_the_held_bytes():

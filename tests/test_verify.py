@@ -111,6 +111,14 @@ class TestRejectedArguments:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    def test_odd_parts_beyond_memory_exit_2(self, capsys, report_physical_memory):
+        # 1 MB holds each 150000-term valuation sequence, but not the odd parts.
+        report_physical_memory(10**6)
+        code, out, err = run(capsys, "verify", "fractal", "--limit", "150000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: an odd-part sequence of 150000 terms would not fit")
+        assert len(err.splitlines()) == 1
+
 
 def plant_in_v2(monkeypatch, index):
     """Make `verify` see the p=2 valuation sequence with term ``index`` incremented."""

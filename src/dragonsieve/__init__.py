@@ -15,14 +15,9 @@ from .sieve import (
     run_sieve,
 )
 from .valuations import (
-    OddEvenDecomposition,
     ValuationSequence,
     generate_dci,
-    odd_even_parts,
-    odd_part_mod4,
     primes_by_trial_division,
-    trial_division_factor,
-    valuation_oracle,
 )
 from .verify import CheckReport, Failure
 
@@ -32,7 +27,6 @@ __all__ = [
     "CheckReport",
     "Factorization",
     "Failure",
-    "OddEvenDecomposition",
     "PolylinePath",
     "SieveTable",
     "TurnSequence",
@@ -43,8 +37,6 @@ __all__ = [
     "generate_dci",
     "heighway_turns",
     "levy_turns",
-    "odd_even_parts",
-    "odd_part_mod4",
     "parse_b_file",
     "primes_by_trial_division",
     "read_factorization",
@@ -52,8 +44,6 @@ __all__ = [
     "run_sieve",
     "to_svg",
     "trace",
-    "trial_division_factor",
-    "valuation_oracle",
     "write_b_file",
     "write_svg",
 ]

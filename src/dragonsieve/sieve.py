@@ -81,7 +81,10 @@ class SieveTable:
         self._rest[p::p] = self._ks[1 : count + 1]
 
     def place_unit_row(self, p: int) -> None:
-        """Same as `place_row` with the generated row; kept for callers of its old name."""
+        """Same as `place_row` with the generated row.
+
+        Nothing in the library calls it; `perfbench/tracer.py` still wraps it by name.
+        """
         self.place_row(p, generate_dci(p, len(range(p, self.m + 1, p))))
 
 

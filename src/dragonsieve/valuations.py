@@ -2,11 +2,11 @@
 
 The generator in this module never divides: each sequence is a run of
 bytes (every term is a valuation below 64) that grows by copying the run
-plus a single increment per round.  The division-based functions
-(`valuation_oracle`, `valuations_by_division`, `odd_even_parts`, the
-whole-column odd-part oracles, the trial-division helpers) are the
+plus a single increment per round.  The division-based column oracles
+(`valuations_by_division`, `odd_parts_by_division`,
+`odd_parts_mod4_by_division` and `primes_by_trial_division`) are the
 independent reference side used to cross-check the division-free
-constructions, so keep the two halves separate.
+constructions, one oracle per quantity, so keep the two halves separate.
 """
 
 from __future__ import annotations
@@ -78,27 +78,10 @@ def generate_dci(p: int, m: int) -> ValuationSequence:
     return ValuationSequence(p, m, bytes(seq))
 
 
-def valuation_oracle(p: int, n: int) -> int:
-    """Largest k such that p**k divides n, by repeated division.
-
-    This is deliberately the thing the generator avoids; it exists as the
-    independent check.
-    """
-    if p < 2:
-        raise ValueError(f"base must be at least 2, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
 def valuations_by_division(p: int, n: int) -> bytes:
     """v_p(1), ..., v_p(n) as bytes, by v_p(i) = 1 + v_p(i // p) over the multiples of p.
 
-    The whole-column form of `valuation_oracle`: one division per multiple
+    v_p(i) is the largest k with p**k dividing i.  One division per multiple
     of p, so a column of 10^6 terms is cheap enough to check in full.
     """
     if p < 2:
@@ -112,28 +95,6 @@ def valuations_by_division(p: int, n: int) -> bytes:
     return bytes(v)
 
 
-@dataclass(frozen=True)
-class OddEvenDecomposition:
-    """n split as even_part * odd_part with even_part = 2**v2(n)."""
-
-    n: int
-    even_part: int
-    odd_part: int
-
-
-def odd_even_parts(n: int) -> OddEvenDecomposition:
-    """Split n into its even part (largest power of 2 dividing n) and odd part."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    even = n & -n  # lowest set bit = 2**v2(n)
-    return OddEvenDecomposition(n, even, n // even)
-
-
-def odd_part_mod4(n: int) -> int:
-    """Odd part of n, modulo 4.  Always 1 or 3."""
-    return odd_even_parts(n).odd_part % 4
-
-
 def _odd_parts(n: int) -> Iterator[int]:
     """i // (i & -i) for i in 1..n, as nested C-level maps: no Python frame per i."""
     if n < 0:
@@ -143,12 +104,15 @@ def _odd_parts(n: int) -> Iterator[int]:
 
 
 def odd_parts_by_division(n: int) -> array:
-    """The odd parts of 1, ..., n as array('I'): the whole-column form of `odd_even_parts`."""
+    """The odd parts of 1, ..., n as array('I').
+
+    The odd part of i is the odd o with i = 2**k * o; 2**k is i & -i.
+    """
     return array("I", _odd_parts(n))
 
 
 def odd_parts_mod4_by_division(n: int) -> bytes:
-    """The odd parts of 1, ..., n mod 4 as bytes: the whole-column form of `odd_part_mod4`.
+    """The odd parts of 1, ..., n mod 4 as bytes: each is 1 or 3.
 
     Reduced straight from the map, so no column of odd parts is held.
     """
@@ -170,22 +134,3 @@ def primes_by_trial_division(limit: int) -> list[int]:
         if is_prime:
             primes.append(n)
     return primes
-
-
-def trial_division_factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n by trial division, as (prime, exponent) pairs."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    factors: list[tuple[int, int]] = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return factors

@@ -26,7 +26,6 @@ from .valuations import (
     odd_parts_by_division,
     odd_parts_mod4_by_division,
     primes_by_trial_division,
-    valuation_oracle,
     valuations_by_division,
 )
 
@@ -137,26 +136,29 @@ def verify_valuations(limit: int) -> list[CheckReport]:
 
 
 def verify_fractal(limit: int, max_period: int) -> list[CheckReport]:
-    reports = []
-    sequences = {p: generate_dci(p, limit).terms for p in FRACTAL_PRIMES}
-    for p, terms in sequences.items():
+    # One construction is held at a time: each sequence is dropped before
+    # the next is built, and the odd parts before the identity's column.
+    reports, aperiodic = [], []
+    for p in FRACTAL_PRIMES:
+        terms = generate_dci(p, limit).terms
         # Decimated once and twice, the sequence gives back its own prefix.
         once = decimate_terms(terms, p)
         for name, kept in (("decimation-self-containment", once),
                            ("nested-decimation", decimate_terms(once, p))):
             reports.append(_run(f"{name}-p{p}", len(kept),
                                 lambda: _first_mismatch(terms[: len(kept)], kept)))
-
-    for p in (2, 3):
-        terms = sequences[p]
-        reports.append(_run(
-            f"aperiodicity-witnesses-p{p}", max_period,
-            lambda: [Failure(q, "witness", None) for q in range(1, max_period + 1)
-                     if aperiodicity_witness(terms, q) is None]))
+        if p in (2, 3):  # reported after every decimation check
+            aperiodic.append(_run(
+                f"aperiodicity-witnesses-p{p}", max_period,
+                lambda: [Failure(q, "witness", None) for q in range(1, max_period + 1)
+                         if aperiodicity_witness(terms, q) is None]))
+        del terms, once, kept
+    reports += aperiodic
 
     odd_parts = reconstruct_odd_part(limit)
     reports.append(_run("odd-part-reconstruction", limit,
                         lambda: _first_mismatch(odd_parts_by_division(limit), odd_parts)))
+    del odd_parts
     reports.append(_run("odd-even-decomposition-identity", limit,
                         lambda: _decomposition_identity(limit)))
     return reports
@@ -183,9 +185,8 @@ def verify_levy(iterations: int) -> list[CheckReport]:
     # Levy turn i is v2(8i).
     terms = levy_turns(iterations).terms
     return [_run("levy-turns-equal-v2-at-multiples-of-8", len(terms),
-                 lambda: _first_mismatch(
-                     map(valuation_oracle, repeat(2), range(8, 8 * len(terms) + 1, 8)),
-                     terms))]
+                 lambda: _first_mismatch(valuations_by_division(2, 8 * len(terms))[7::8],
+                                         terms))]
 
 
 def verify_heighway(iterations: int) -> list[CheckReport]:

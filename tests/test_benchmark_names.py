@@ -3,6 +3,8 @@
 `perfbench/tracer.py` wraps functions by name: a span and a counter for each
 ``layer.function`` it lists.  A renamed or private function silently reads
 0 there, so each name is checked here against what the tracer would wrap.
+Two requests also run through the tracer, which fails on any attribute it
+reads that is gone.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import marshal
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +73,25 @@ def test_rss_span_is_wrapped(name):
 def test_traced_method_exists(layer, cls_name, method):
     cls = getattr(importlib.import_module(f"dragonsieve.{layer}"), cls_name)
     assert inspect.isfunction(getattr(cls, method, None))
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all", "--small"),
+    ("seq", "--p", "2", "--limit", "100"),
+], ids=["verify-all-small", "seq-p2"])
+def test_traced_request_prints_what_the_cli_prints(tmp_path, argv):
+    # The tracer reads the attributes it counts (`ValuationSequence.m`,
+    # `._full`, `.terms`, `path.vertices`) only when a request runs through it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    spans = tmp_path / "spans"
+    runs = [subprocess.run([sys.executable, *prefix, *argv], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, timeout=120)
+            for prefix in (["-m", "dragonsieve.cli"],
+                           [str(ROOT / "perfbench" / "tracer.py"), str(spans)])]
+    plain, traced = (re.sub(r"\t[0-9.]+s$", "", run.stdout, flags=re.MULTILINE)
+                     for run in runs)
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    assert traced == plain != ""
+    record = marshal.loads(spans.read_bytes())
+    assert "cli.main" in record["names"] and record["start"]

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonsieve import (
-    heighway_turns,
-    levy_turns,
-    odd_part_mod4,
-    valuation_oracle,
-)
+from dragonsieve import heighway_turns, levy_turns
+from dragonsieve.valuations import odd_parts_mod4_by_division, valuations_by_division
+
+
+def v2_at_multiples_of_8(count):
+    """v2(8), v2(16), ..., v2(8 * count) from the division oracle."""
+    return valuations_by_division(2, 8 * count)[7::8]
 
 
 class TestLevyTurns:
@@ -54,19 +55,18 @@ class TestLevyTurns:
 class TestLevyTheorem:
     def test_first_two_indexes(self):
         terms = levy_turns(2).terms
-        assert terms[0] == valuation_oracle(2, 8) == 3
-        assert terms[1] == valuation_oracle(2, 16) == 4
+        assert terms[:2] == v2_at_multiples_of_8(2) == bytes([3, 4])
 
     def test_ten_iterations_pass(self):
         terms = levy_turns(10).terms
         assert len(terms) == 2047
-        assert tuple(terms) == tuple(valuation_oracle(2, 8 * i) for i in range(1, 2048))
+        assert terms == v2_at_multiples_of_8(2047)
 
     @given(j=st.integers(min_value=1, max_value=16))
     @settings(max_examples=16, deadline=None)
     def test_matches_oracle(self, j):
         terms = levy_turns(j).terms
-        assert tuple(terms) == tuple(valuation_oracle(2, 8 * i) for i in range(1, 2 ** (j + 1)))
+        assert terms == v2_at_multiples_of_8(2 ** (j + 1) - 1)
 
 
 class TestHeighwayTurns:
@@ -99,20 +99,21 @@ class TestHeighwayTurns:
 class TestHeighwayEquivalence:
     def test_four_iterations_match_mod4_prefix(self):
         terms = heighway_turns(4).terms
-        assert list(terms) == [odd_part_mod4(n) for n in range(1, 16)]
+        assert terms == odd_parts_mod4_by_division(15)
 
     def test_powers_of_two_are_left_turns(self):
         terms = heighway_turns(8).terms
+        mod4 = odd_parts_mod4_by_division(len(terms))
         for j in range(8):
-            assert terms[(1 << j) - 1] == 1 == odd_part_mod4(1 << j)
+            assert terms[(1 << j) - 1] == 1 == mod4[(1 << j) - 1]
 
     def test_sixteen_iterations_pass(self):
         terms = heighway_turns(16).terms
         assert len(terms) == 65535
-        assert tuple(terms) == tuple(odd_part_mod4(n) for n in range(1, 65536))
+        assert terms == odd_parts_mod4_by_division(65535)
 
     @given(j=st.integers(min_value=1, max_value=16))
     @settings(max_examples=16, deadline=None)
     def test_matches_oracle(self, j):
         terms = heighway_turns(j).terms
-        assert tuple(terms) == tuple(odd_part_mod4(n) for n in range(1, 2**j))
+        assert terms == odd_parts_mod4_by_division(2**j - 1)

@@ -41,7 +41,6 @@ PUBLIC = [
     "CheckReport",
     "Factorization",
     "Failure",
-    "OddEvenDecomposition",
     "PolylinePath",
     "SieveTable",
     "TurnSequence",
@@ -52,8 +51,6 @@ PUBLIC = [
     "generate_dci",
     "heighway_turns",
     "levy_turns",
-    "odd_even_parts",
-    "odd_part_mod4",
     "parse_b_file",
     "primes_by_trial_division",
     "read_factorization",
@@ -61,15 +58,13 @@ PUBLIC = [
     "run_sieve",
     "to_svg",
     "trace",
-    "trial_division_factor",
-    "valuation_oracle",
     "write_b_file",
     "write_svg",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 27
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 22
     assert dragonsieve.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(dragonsieve, name).__module__.startswith("dragonsieve."), name

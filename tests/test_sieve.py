@@ -21,10 +21,9 @@ from dragonsieve import (
     read_factorization,
     reconstruct_odd_part,
     run_sieve,
-    trial_division_factor,
-    valuation_oracle,
 )
 from dragonsieve import sieve
+from dragonsieve.valuations import valuations_by_division
 
 
 def literal_next(rows, m):
@@ -134,17 +133,28 @@ class TestReadFactorization:
             assert (3 in entries) == (h % 3 == 0)
             assert (2 in entries) == (h % 2 == 0)
 
+    @staticmethod
+    def assert_unique_factorization(fact, n, primes):
+        """The conditions that fix n's factorization: its product is n, its primes
+        strictly increase and are trial-division primes, and no exponent is 0."""
+        assert fact.n == n and fact.value() == n
+        ps = [p for p, _ in fact.factors]
+        assert all(a < b for a, b in zip(ps, ps[1:]))
+        assert primes.issuperset(ps)
+        assert all(e >= 1 for _, e in fact.factors)
+
     def test_exact_up_to_20000(self):
         table = run_sieve(20000)
+        primes = set(primes_by_trial_division(20000))
         for n in range(1, 20001):
-            assert read_factorization(table, n).factors == tuple(trial_division_factor(n))
+            self.assert_unique_factorization(read_factorization(table, n), n, primes)
 
     @given(data=st.data(), m=st.integers(min_value=1, max_value=5000))
     @settings(max_examples=50, deadline=None)
     def test_exact_property(self, data, m):
         n = data.draw(st.integers(min_value=1, max_value=m))
-        got = read_factorization(run_sieve(m), n).factors
-        assert got == tuple(trial_division_factor(n))
+        self.assert_unique_factorization(read_factorization(run_sieve(m), n), n,
+                                         set(primes_by_trial_division(m)))
 
     def test_discovery_order_is_prime_order(self):
         got = run_sieve(200).prime_headers
@@ -175,7 +185,7 @@ class TestFormatTable:
         numbers = range(1, m + 1)
         lines = ["\t" + "\t".join(str(n) for n in numbers)]
         for p in primes_by_trial_division(m):
-            lines.append(f"{p}\t" + "\t".join(str(valuation_oracle(p, n)) for n in numbers))
+            lines.append(f"{p}\t" + "\t".join(map(str, valuations_by_division(p, m))))
         assert table_text(run_sieve(m)) == "\n".join(lines) + "\n"
 
 

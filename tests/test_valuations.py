@@ -12,11 +12,7 @@ from dragonsieve import (
     generate_dci,
     heighway_turns,
     levy_turns,
-    odd_even_parts,
-    odd_part_mod4,
     primes_by_trial_division,
-    trial_division_factor,
-    valuation_oracle,
 )
 from dragonsieve.valuations import (
     odd_parts_by_division,
@@ -76,7 +72,7 @@ class TestGenerateDci:
     def test_exact_length_matches_oracle(self, p, m):
         seq = generate_dci(p, m)
         assert len(seq._full) == m
-        assert list(seq.terms) == [valuation_oracle(p, n) for n in range(1, m + 1)]
+        assert seq.terms == valuations_by_division(p, m)
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_copy_structure(self, p):
@@ -126,32 +122,27 @@ def test_terms_are_the_held_bytes():
 
 
 class TestValuationOracle:
+    """Hand-worked values and properties of `valuations_by_division`."""
+
     def test_v2_of_4(self):
-        assert valuation_oracle(2, 4) == 2
+        assert valuations_by_division(2, 4)[4 - 1] == 2
 
     def test_one_has_no_factors(self):
-        assert valuation_oracle(7, 1) == 0
+        assert valuations_by_division(7, 1) == bytes([0])
 
     def test_162(self):
-        assert valuation_oracle(3, 162) == 4
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            valuation_oracle(1, 5)
-        with pytest.raises(ValueError):
-            valuation_oracle(2, 0)
+        assert valuations_by_division(3, 162)[162 - 1] == 4
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_matches_dci(self, p):
         m = 2000
-        terms = generate_dci(p, m).terms
-        for n in range(1, m + 1):
-            assert terms[n - 1] == valuation_oracle(p, n)
+        assert generate_dci(p, m).terms == valuations_by_division(p, m)
 
-    @given(p=st.sampled_from(SMALL_PRIMES), n=st.integers(min_value=1, max_value=10**9))
+    @given(p=st.sampled_from(SMALL_PRIMES), n=st.integers(min_value=1, max_value=10**4))
     @settings(max_examples=200)
     def test_zero_iff_not_divisible(self, p, n):
-        assert (valuation_oracle(p, n) > 0) == (n % p == 0)
+        column = valuations_by_division(p, n)
+        assert [v > 0 for v in column] == [i % p == 0 for i in range(1, n + 1)]
 
 
 class TestValuationsByDivision:
@@ -159,11 +150,12 @@ class TestValuationsByDivision:
     @example(p=2, n=2048)
     @example(p=59, n=59**2)
     @settings(max_examples=100, deadline=None)
-    def test_matches_oracle_term_by_term(self, p, n):
+    def test_matches_definition_term_by_term(self, p, n):
+        # v is the valuation of i when p**v divides i and p**(v+1) does not.
         column = valuations_by_division(p, n)
         assert type(column) is bytes and len(column) == n
-        for i in range(1, n + 1):
-            assert column[i - 1] == valuation_oracle(p, i)
+        for i, v in enumerate(column, 1):
+            assert i % p**v == 0 != i % p ** (v + 1)
 
     @pytest.mark.parametrize("p", [1, 0, -2])
     def test_rejects_base_below_2(self, p):
@@ -176,61 +168,62 @@ class TestValuationsByDivision:
 
 
 class TestOddEvenParts:
+    """Hand-worked odd parts from `odd_parts_by_division`, the even part being n & -n."""
+
     def test_12(self):
-        parts = odd_even_parts(12)
-        assert (parts.even_part, parts.odd_part) == (4, 3)
+        assert (12 & -12, odd_parts_by_division(12)[12 - 1]) == (4, 3)
 
     def test_first_15_odd_parts(self):
-        got = [odd_even_parts(n).odd_part for n in range(1, 16)]
+        got = list(odd_parts_by_division(15))
         assert got == [1, 1, 3, 1, 5, 3, 7, 1, 9, 5, 11, 3, 13, 7, 15]
 
     def test_one(self):
-        parts = odd_even_parts(1)
-        assert (parts.even_part, parts.odd_part) == (1, 1)
+        assert (1 & -1, odd_parts_by_division(1)[0]) == (1, 1)
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            odd_even_parts(0)
-
-    @given(n=st.integers(min_value=1, max_value=10**12))
-    @settings(max_examples=200)
+    @given(n=st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=100, deadline=None)
     def test_decomposition_identity(self, n):
-        parts = odd_even_parts(n)
-        assert parts.even_part * parts.odd_part == n
-        assert parts.odd_part % 2 == 1
-        assert parts.even_part == 2 ** valuation_oracle(2, n)
+        # The even part is 2**v2(i), by the valuation oracle.
+        odd = odd_parts_by_division(n)
+        v2 = valuations_by_division(2, n)
+        for i, (o, v) in enumerate(zip(odd, v2, strict=True), 1):
+            assert 2**v * o == i and o % 2 == 1
 
 
 class TestOddPartMod4:
+    """Hand-worked values of `odd_parts_mod4_by_division`."""
+
     def test_first_15(self):
-        got = [odd_part_mod4(n) for n in range(1, 16)]
+        got = list(odd_parts_mod4_by_division(15))
         assert got == [1, 1, 3, 1, 1, 3, 3, 1, 1, 1, 3, 3, 1, 3, 3]
 
     def test_powers_of_two(self):
+        column = odd_parts_mod4_by_division(2**19)
         for j in range(20):
-            assert odd_part_mod4(2**j) == 1
+            assert column[2**j - 1] == 1
 
     def test_22(self):
-        assert odd_part_mod4(22) == 3
+        assert odd_parts_mod4_by_division(22)[22 - 1] == 3
 
-    @given(n=st.integers(min_value=1, max_value=10**9))
+    @given(n=st.integers(min_value=1, max_value=10**4))
     @settings(max_examples=100)
     def test_always_1_or_3(self, n):
-        assert odd_part_mod4(n) in (1, 3)
+        assert set(odd_parts_mod4_by_division(n)) <= {1, 3}
 
 
 class TestOddPartsByDivision:
     @given(n=st.integers(min_value=0, max_value=3000))
     @example(n=2048)
     @settings(max_examples=100, deadline=None)
-    def test_matches_odd_even_parts_term_by_term(self, n):
+    def test_matches_definition_term_by_term(self, n):
+        # o is the odd part of i when o is odd and (i & -i) * o == i.
         column = odd_parts_by_division(n)
         assert column.typecode == "I" and len(column) == n
         mod4 = odd_parts_mod4_by_division(n)
         assert type(mod4) is bytes and len(mod4) == n
-        for i in range(1, n + 1):
-            assert column[i - 1] == odd_even_parts(i).odd_part
-            assert mod4[i - 1] == odd_part_mod4(i)
+        for i, (o, r) in enumerate(zip(column, mod4), 1):
+            assert (i & -i) * o == i and o % 2 == 1
+            assert r == o % 4
 
     @pytest.mark.parametrize("column", [odd_parts_by_division, odd_parts_mod4_by_division])
     @pytest.mark.parametrize("n", [-1, -2**40])
@@ -245,8 +238,3 @@ class TestTrialDivision:
 
     def test_prime_count_below_1000(self):
         assert len(primes_by_trial_division(1000)) == 168
-
-    def test_factor_examples(self):
-        assert trial_division_factor(24) == [(2, 3), (3, 1)]
-        assert trial_division_factor(97) == [(97, 1)]
-        assert trial_division_factor(1) == []

@@ -12,6 +12,7 @@ import importlib.util
 import operator
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,21 @@ class TestRejectedArguments:
         assert len(err.splitlines()) == 1
 
 
+class TestMemory:
+    def test_fractal_holds_one_construction_at_a_time(self, report_physical_memory):
+        # Every construction's own check passes in 999 424 bytes; holding the four
+        # sequences with both odd-part columns would peak above it.
+        report_physical_memory(999_424)
+        tracemalloc.start()
+        try:
+            reports = verify_mod.verify_fractal(90_000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.name for r in reports if not r.passed] == []
+        assert peak < 999_424
+
+
 def plant_in_v2(monkeypatch, index):
     """Make `verify` see the p=2 valuation sequence with term ``index`` incremented."""
     def corrupted_dci(p, m):
@@ -199,6 +215,10 @@ class TestPlantedDefect:
         ("heighway", "16", heighway_turns, 65535, 1,
          "FAIL\theighway-turns-equal-odd-part-mod-4\tcases=65535\t"
          "first: index=65535 expected=3 actual=1"),
+        # The last Levy turn at 10 iterations is v2(16376) = 3: pins the oracle's slice.
+        ("levy", "10", levy_turns, 2047, 4,
+         "FAIL\tlevy-turns-equal-v2-at-multiples-of-8\tcases=2047\t"
+         "first: index=2047 expected=3 actual=4"),
     ])
     def test_dragon_defect(self, capsys, monkeypatch, suite, iterations, build, index, turn,
                            line):

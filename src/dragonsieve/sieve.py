@@ -2,22 +2,25 @@
 
 Row p is a fractal sequence, with 1 + v_p(k) at column k*p, so placing p
 takes only the first K terms of its DCI sequence, K being the number of
-multiples of p up to the width m (all zero when p*p > m).  The table is three
-flat columns set by stepped slices: ``exp`` (the entry; 0 marks a column no
-row reaches), ``top`` (the prime, the largest so far, as primes come in
-order) and ``rest`` (k, a link to column h/p, read down to 1 to factor).
-Each row's terms go in as bytes: ``exp`` takes a translated slice of them
-and ``rest`` a slice of one multiplier array 0..K built with the table.
-The one division is CPython's, to find the length of a stepped slice or
-``range``; nothing in this module divides.  Full rows are never stored.
+multiples of p up to the width m.  Rows are placed while p*p <= m; the
+primes above sqrt(m) are the columns no row reaches, read in one pass by a
+`translate` and a `compress`.  The table is three flat columns set by
+stepped slices: ``exp`` (the entry; 0 marks a column no row reaches),
+``top`` (the largest placed prime) and ``rest`` (k, a link to column h/p,
+read down to 1, or to n's one prime factor above sqrt(m), to factor).  Each
+row's terms go in as bytes: ``exp`` takes a translated slice of them and
+``rest`` a slice of one multiplier array 0..K built with the table.  The one
+division is CPython's, to find the length of a stepped slice or ``range``;
+nothing in this module divides.  Full rows are never stored.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import compress, starmap
 from typing import BinaryIO
 
 from .limits import require_memory
@@ -25,10 +28,13 @@ from .valuations import PLUS_ONE, TERM_DIGIT, TERM_TEXT, ValuationSequence, gene
 
 _LINK = "I"  # typecode of ``top`` and ``rest``, which hold values up to m
 _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
-# Peak RSS growth per column of run_sieve, measured 13.5 at m = 10^6 and 10^7:
-# the store (9), the multipliers (2), row 2 as bytes with its translated copy
-# (about 1.5) and the primes, 4 bytes each (about 0.3).
+# Peak RSS growth per column of run_sieve, measured 13.5 at m = 10^6 and 10^7,
+# also once rows stopped at p*p > m: the store (9), the multipliers (2), row 2
+# as bytes with its translated copy (about 1.5) and the primes, 4 bytes each
+# (about 0.3).
 _BYTES_PER_COLUMN = 14
+# Entry 0 (a column no row reaches) to 1, every other entry to 0.
+_ZERO_TO_ONE = b"\x01" + bytes(255)
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,10 @@ class Factorization:
 
 
 class SieveTable:
-    """The sieve's table of width m, one row per discovered prime; immutable after `run_sieve`."""
+    """The sieve's table of width m, with a header per prime and rows placed up to sqrt(m).
+
+    Immutable after `run_sieve`.
+    """
 
     def __init__(self, m: int):
         if m < 1:
@@ -64,7 +73,9 @@ class SieveTable:
         return list(self._primes)
 
     def row(self, p: int) -> ValuationSequence:
-        if not 2 <= p <= self.m or self._top[p] != p:
+        """Prime p's full row, generated by DCI; p must be a prime header."""
+        i = bisect_left(self._primes, p)
+        if i == len(self._primes) or self._primes[i] != p:
             raise KeyError(f"no row for {p}")
         return generate_dci(p, self.m)
 
@@ -91,18 +102,28 @@ class SieveTable:
 def run_sieve(m: int) -> SieveTable:
     """Run the sieve to width m: the next column above 1 that no row reaches is the next prime.
 
-    Columns never unmark, so each scan starts just past the last prime.
+    Columns never unmark, so each scan starts just past the last prime.  A row
+    with p*p > m would hold only zero terms, each of its k being below p, and
+    mark no column but p, so from the first such p every column no row
+    reaches is a prime.
     """
     table = SieveTable(m)
-    p = table._exp.find(0, 2)
-    while p > 0:
+    exp = table._exp
+    p = exp.find(0, 2)
+    while 0 < p and p * p <= m:
         table.place_row(p, generate_dci(p, len(range(p, m + 1, p))))
-        p = table._exp.find(0, p + 1)
+        p = exp.find(0, p + 1)
+    if p > 0:
+        table._primes.extend(compress(range(p, m + 1), exp[p:].translate(_ZERO_TO_ONE)))
     return table
 
 
 def read_factorization(table: SieveTable, n: int) -> Factorization:
-    """Factor n by following its column's links: largest prime first, then reversed."""
+    """Factor n by following its column's links: largest prime first, then reversed.
+
+    A chain that ends at a column h > 1 no row reaches ends at n's one prime
+    factor above sqrt(m), which comes first, with exponent 1.
+    """
     if n < 1 or n > table.m:
         raise ValueError(f"n must be within 1..{table.m}, got {n}")
     exp, top, rest = table._exp, table._top, table._rest
@@ -114,6 +135,8 @@ def read_factorization(table: SieveTable, n: int) -> Factorization:
         h = rest[h]
         while top[h] == p:  # strip the remaining powers of p
             h = rest[h]
+    if h > 1:
+        factors.insert(0, (h, 1))
     return Factorization(n, tuple(reversed(factors)))
 
 

@@ -161,6 +161,29 @@ class TestReadFactorization:
         assert got == sorted(got)
 
 
+class TestCutoff:
+    """Rows are placed while p*p <= m; the primes above sqrt(m) come from the columns no row reaches."""
+
+    @pytest.mark.parametrize(
+        "m", sorted({1, 2, 3} | {q * q + d for q in (2, 3, 5, 7, 31) for d in (-1, 0, 1)}))
+    def test_primes_and_factorizations_around_a_square(self, m):
+        table = run_sieve(m)
+        primes = primes_by_trial_division(m)
+        assert table.prime_headers == primes
+        for n in range(1, m + 1):
+            TestReadFactorization.assert_unique_factorization(
+                read_factorization(table, n), n, set(primes))
+
+    def test_rows_are_placed_up_to_the_square_root(self, monkeypatch):
+        placed = []
+        place_row = SieveTable.place_row
+        monkeypatch.setattr(SieveTable, "place_row",
+                            lambda table, p, row: placed.append(p) or place_row(table, p, row))
+        table = run_sieve(10**4)
+        assert placed == primes_by_trial_division(100)  # 25 rows, the last 97
+        assert len(table.prime_headers) == 1229
+
+
 class TestFormatTable:
     def test_width_3(self):
         table = run_sieve(3)

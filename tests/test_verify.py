@@ -21,12 +21,15 @@ from hypothesis import strategies as st
 
 import dragonsieve.verify as verify_mod
 from dragonsieve import (
+    Factorization,
     Failure,
     ValuationSequence,
     generate_dci,
     heighway_turns,
     levy_turns,
+    read_factorization,
     reconstruct_odd_part,
+    run_sieve,
 )
 from dragonsieve.cli import main
 from dragonsieve.valuations import odd_parts_by_division
@@ -232,6 +235,41 @@ class TestPlantedDefect:
         code, out, _ = run(capsys, "verify", suite, "--iterations", iterations)
         assert code == 1
         assert without_timing(out).splitlines() == [line, "FAIL"]
+
+
+class TestPlantedSieveDefect:
+    """Sieve defects at width 1000, where rows are placed for the primes up to 31."""
+
+    @staticmethod
+    def sieve_lines(capsys):
+        code, out, _ = run(capsys, "verify", "sieve", "--limit", "1000")
+        lines = without_timing(out).splitlines()
+        assert code == 1 and lines[-1] == "FAIL"
+        return lines[:-1]
+
+    def test_chain_end_factor_dropped(self, capsys, monkeypatch):
+        # 37, the first n with a prime factor above sqrt(1000), reads as the empty product.
+        def dropping(table, n):
+            fact = read_factorization(table, n)
+            return Factorization(n, tuple((p, e) for p, e in fact.factors if p * p <= table.m))
+
+        monkeypatch.setattr(verify_mod, "read_factorization", dropping)
+        assert self.sieve_lines(capsys) == [
+            "ok\tsieve-primes-match-trial-division\tcases=168\t-",
+            "FAIL\tfactorization-reconstructs-n\tcases=999\tfirst: index=37 expected=37 actual=1"]
+
+    def test_prime_missing_from_the_list(self, capsys, monkeypatch):
+        # 37, the 12th prime, is the first one read from the unreached columns.
+        def missing_37(limit):
+            table = run_sieve(limit)
+            table._primes.remove(37)
+            return table
+
+        monkeypatch.setattr(verify_mod, "run_sieve", missing_37)
+        assert self.sieve_lines(capsys) == [
+            "FAIL\tsieve-primes-match-trial-division\tcases=168\t"
+            "first: index=12 expected=37 actual=41",
+            "ok\tfactorization-reconstructs-n\tcases=999\t-"]
 
 
 class TestPlantedOddPartDefect:

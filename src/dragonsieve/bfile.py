@@ -1,7 +1,9 @@
-"""OEIS b-file reading and writing.
+"""OEIS b-file reading and writing, and the text of byte terms.
 
 One "<index> <value>" pair per line, 1-based, no header.  The writer is
-bit-exact so fixtures can be byte-compared.
+bit-exact so fixtures can be byte-compared.  `_set_cells` decides the
+decimal text of a byte term for every writer of terms: the b-file blocks
+here, the sieve's TSV rows and the CLI's decimated rows.
 """
 
 from __future__ import annotations
@@ -11,19 +13,42 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
-from .valuations import TERM_DIGIT, TERM_TEXT
-
 # Indexes written per chunk, a multiple of 1000 so that every chunk after the
 # first starts a block; bounds the text held at once to about 1 MB.
 _CHUNK = 64_000
-_SUFFIXES = [f"{i:03d} " for i in range(1000)]  # the last three digits of an index
-_TERM_BYTES = [t.encode("ascii") for t in TERM_TEXT]  # the text of each byte term
-_ONE_DIGIT = bytes(range(10))  # the terms TERM_DIGIT writes; it writes the rest as 0
+_TERM_BYTES = [str(t).encode("ascii") for t in range(256)]  # the text of each byte term
+# bytes.translate table from a byte term to its one-digit text: terms 0..9 to
+# b"0".."9", and every larger term to the placeholder 0, which is no digit.
+_TERM_DIGIT = b"0123456789" + bytes(246)
+_ONE_DIGIT = bytes(range(10))  # the terms _TERM_DIGIT writes; it writes the rest as 0
 _FROM_DIGIT = bytes.maketrans(b"0123456789", _ONE_DIGIT)
 # The term of each canonical cell: 10^6 cells map through it in about 0.04 s,
 # through int() in about 0.17 s.
-_TERM_OF_TEXT = {text: t for t, text in enumerate(TERM_TEXT)}
+_TERM_OF_TEXT = {str(t): t for t in range(256)}
 _LAST = itemgetter(-1)  # a line's last character, which must be its newline
+# Lines 000..999 of a block of integer terms, 8 characters each: \0 stands for
+# the block's prefix and %d for the term.
+_INT_LINES = "".join(f"\0{j:03d} %d\n" for j in range(1000))
+
+
+def _set_cells(buf: bytearray, terms: bytes, stride: int, offset: int) -> bytes | bytearray:
+    """``buf`` with the text of each byte term set at every ``stride``-th byte from ``offset``.
+
+    ``buf[offset::stride]`` holds one byte per term.  A term below 10 is set
+    as its digit by one `_TERM_DIGIT` translation and ``buf`` itself is
+    returned.  A larger term leaves the placeholder 0; then ``buf`` is split
+    there and joined with those terms' text, in order, so ``buf`` must hold
+    no other 0.
+    """
+    column = terms.translate(_TERM_DIGIT)
+    buf[offset::stride] = column
+    if 0 not in column:
+        return buf
+    pieces = buf.split(b"\0")
+    parts = [b""] * (2 * len(pieces) - 1)
+    parts[::2] = pieces
+    parts[1::2] = map(_TERM_BYTES.__getitem__, terms.translate(None, _ONE_DIGIT))
+    return b"".join(parts)
 
 
 def format_b_file(terms: Sequence[int], start: int = 1) -> str:
@@ -34,34 +59,20 @@ def format_b_file(terms: Sequence[int], start: int = 1) -> str:
 def _format(terms: Sequence[int], start: int) -> str:
     """`format_b_file`, under a name of its own so that the parser's use is not a write.
 
-    ``bytes`` terms from the first block of 1000 indexes on go through
-    `_format_blocks`; everything else through `_format_lines`.
+    Indexes before the first block of 1000, 1000k..1000k+999 with k >= 1,
+    go line by line.  From there, ``bytes`` terms go through
+    `_format_blocks`, and any other integer terms take one ``%`` a block,
+    through `_INT_LINES` with its \\0 replaced by str(k).
     """
-    if not isinstance(terms, (bytes, bytearray)):
-        return _format_lines(terms, start)
     head = min(len(terms), max(-(-start // 1000), 1) * 1000 - start)
-    return _format_lines(terms[:head], start) + _format_blocks(terms[head:], start + head)
-
-
-def _format_lines(terms: Sequence[int], start: int) -> str:
-    """The b-file text of any integer terms, built as strings.
-
-    Each line is three strings: a prefix, a suffix and the value's cell.
-    In a block of indexes 1000k..1000k+999 the prefix is str(k), shared by
-    the block, and the suffix comes from a table.  Indexes below 1000, and
-    those before the first block, have the whole index as prefix and no
-    suffix.  The columns are slice-assigned into one list, joined once.
-    """
-    n = len(terms)
-    parts = [""] * (3 * n)
-    parts[2::3] = [f"{t}\n" for t in terms]
-    head = min(n, max(-(-start // 1000), 1) * 1000 - start)
-    parts[0 : 3 * head : 3] = map("{} ".format, range(start, start + head))
-    for j in range(head, n, 1000):
-        k = min(1000, n - j)
-        parts[3 * j : 3 * (j + k) : 3] = [str((start + j) // 1000)] * k
-        parts[3 * j + 1 : 3 * (j + k) : 3] = _SUFFIXES[:k]
-    return "".join(parts)
+    text = "".join(map("{} {}\n".format, range(start, start + head), terms[:head]))
+    if isinstance(terms, (bytes, bytearray)):
+        return text + _format_blocks(terms[head:], start + head)
+    blocks = [text]
+    for j in range(head, len(terms), 1000):
+        block = tuple(terms[j : j + 1000])
+        blocks.append(_INT_LINES[: 8 * len(block)].replace("\0", str((start + j) // 1000)) % block)
+    return "".join(blocks)
 
 
 @cache
@@ -76,9 +87,7 @@ def _format_blocks(terms: bytes, start: int) -> str:
     In the block of indexes 1000k..1000k+999, a line whose term is below 10
     has the width of str(k) plus 6, so the block is a copy of a template:
     each digit of str(k) is set by one stepped-slice assignment and the
-    value column by a `TERM_DIGIT` translation.  A term of 10 or more
-    leaves the placeholder 0 in the column; the block is split there and
-    the pieces joined with those terms' text, in order.
+    value column by `_set_cells`.
     """
     out = []
     for j in range(0, len(terms), 1000):
@@ -89,16 +98,7 @@ def _format_blocks(terms: bytes, start: int) -> str:
         block = bytearray(_template(len(prefix))[: width * n])
         for i, digit in enumerate(prefix):
             block[i::width] = bytes((digit,)) * n
-        column = block_terms.translate(TERM_DIGIT)
-        block[width - 2 :: width] = column
-        if 0 in column:
-            pieces = block.split(b"\0")
-            parts = [b""] * (2 * len(pieces) - 1)
-            parts[::2] = pieces
-            parts[1::2] = map(_TERM_BYTES.__getitem__, block_terms.translate(None, _ONE_DIGIT))
-            out += parts
-        else:
-            out.append(block)
+        out.append(_set_cells(block, block_terms, width, width - 2))
     return b"".join(out).decode("ascii")
 
 

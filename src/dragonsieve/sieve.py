@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from itertools import compress, starmap
 from typing import BinaryIO
 
+from .bfile import _set_cells
 from .limits import require_memory
-from .valuations import PLUS_ONE, TERM_DIGIT, TERM_TEXT, ValuationSequence, generate_dci
+from .valuations import PLUS_ONE, ValuationSequence, generate_dci
 
 _LINK = "I"  # typecode of ``top`` and ``rest``, which hold values up to m
 _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
@@ -144,10 +145,8 @@ def write_table(table: SieveTable, out: BinaryIO) -> None:
     """Write the table as tab-separated ASCII to the binary stream ``out``.
 
     The header row, the columns 1..m, is written 1000 columns at a time;
-    then one row per prime, its header first.  A row whose terms are all
-    below 10 is set into a reused buffer of tabs, a digit in every second
-    byte by a `TERM_DIGIT` translation; a row with a larger term leaves a 0
-    there, and is joined from each term's text.
+    then one row per prime, its header first, its terms set into every
+    second byte of one reused buffer of tabs by `bfile._set_cells`.
     """
     m = table.m
     for j in range(1, m + 1, 1000):
@@ -155,11 +154,5 @@ def write_table(table: SieveTable, out: BinaryIO) -> None:
     out.write(b"\n")
     cells = bytearray(b"\t" * (2 * m) + b"\n")
     for p in table._primes:
-        row = table.row(p)
-        digits = row._full.translate(TERM_DIGIT)
         out.write(str(p).encode("ascii"))
-        if 0 not in digits:
-            cells[1::2] = digits
-            out.write(cells)
-        else:
-            out.write(("\t" + "\t".join(map(TERM_TEXT.__getitem__, row._full)) + "\n").encode("ascii"))
+        out.write(_set_cells(cells, table.row(p)._full, 2, 1))

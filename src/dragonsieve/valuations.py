@@ -7,6 +7,7 @@ plus a single increment per round.  The division-based column oracles
 `odd_parts_mod4_by_division` and `primes_by_trial_division`) are the
 independent reference side used to cross-check the division-free
 constructions, one oracle per quantity, so keep the two halves separate.
+The module holds no text: `bfile` writes the terms.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ from .limits import require_memory
 
 # bytes.translate table adding 1 to a term; terms stay far below 255.
 PLUS_ONE = bytes(range(1, 256)) + b"\xff"
-# The decimal text of each byte term, for writing terms through ``map``.
-TERM_TEXT = [str(t) for t in range(256)]
-# bytes.translate table from a byte term to its one-digit text: terms 0..9 to
-# b"0".."9", and every larger term to the placeholder 0, which is no digit.
-TERM_DIGIT = b"0123456789" + bytes(246)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 
 from dragonsieve import format_b_file, levy_turns
 from dragonsieve.cli import main
+from dragonsieve.valuations import valuations_by_division
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -117,6 +118,30 @@ class TestSequenceCommands:
         lines = out.splitlines()
         assert lines[0].startswith("Original:")
         assert lines[1] == "Decimated:\t0, 1, 0, 2"
+
+    def test_decimate_splices_terms_of_two_digits(self, capsys):
+        # v_2 reaches 10 at 1024 and 11 at 2048, so both rows hold two-digit terms.
+        code, out, _ = run(capsys, "decimate", "--p", "2", "--limit", "2048", "--levels", "2")
+        terms = valuations_by_division(2, 2048)
+        assert code == 0
+        assert out.splitlines() == [
+            "Original:\t" + ", ".join(map(str, terms)),
+            "Decimated x1:\t" + ", ".join(map(str, terms[2::3])),
+            "Decimated x2:\t" + ", ".join(map(str, terms[2::3][2::3])),
+        ]
+
+    def test_decimate_prints_its_last_empty_row(self, capsys):
+        code, out, _ = run(capsys, "decimate", "--p", "2", "--limit", "10", "--levels", "3")
+        assert code == 0
+        assert out.splitlines()[1:] == ["Decimated x1:\t0, 1, 0", "Decimated x2:\t0",
+                                        "Decimated x3:\t"]
+
+    @pytest.mark.parametrize("limit, levels, most", [("1", "2", 1), ("10", str(10**9), 3)])
+    def test_decimating_an_empty_row_is_usage_error(self, capsys, limit, levels, most):
+        code, out, err = run(capsys, "decimate", "--p", "2", "--limit", limit, "--levels", levels)
+        assert (code, out) == (2, "")
+        assert err == (f"error: levels must be at most {most} for limit {limit}: "
+                       f"decimated x{most} is already empty\n")
 
     def test_negative_levels_is_usage_error(self, capsys):
         code, out, err = run(capsys, "decimate", "--p", "2", "--limit", "12", "--levels", "-1")

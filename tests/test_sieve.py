@@ -22,7 +22,7 @@ from dragonsieve import (
     reconstruct_odd_part,
     run_sieve,
 )
-from dragonsieve import sieve
+from dragonsieve import bfile, sieve
 from dragonsieve.valuations import valuations_by_division
 
 
@@ -334,6 +334,10 @@ def _divisions(tree):
 class TestDivisionFree:
     def test_sieve_module_does_not_divide(self):
         assert list(_divisions(ast.parse(inspect.getsource(sieve)))) == []
+
+    def test_cell_writer_does_not_divide(self):
+        # The sieve's TSV rows are written through it.
+        assert list(_divisions(ast.parse(inspect.getsource(bfile._set_cells)))) == []
 
     def test_generate_dci_does_not_divide(self):
         assert list(_divisions(ast.parse(inspect.getsource(generate_dci)))) == []

@@ -1,49 +1,49 @@
-"""Division-free valuation sieve, fractal sequence checks, dragon-curve rendering."""
+"""Division-free valuation sieve, fractal sequence checks, dragon-curve rendering.
 
-from .bfile import format_b_file, parse_b_file, write_b_file
-from .dragons import TurnSequence, heighway_turns, levy_turns
-from .fractal import (
-    aperiodicity_witness,
-    decimate_terms,
-    reconstruct_odd_part,
-)
-from .render import PolylinePath, to_svg, trace, write_svg
-from .sieve import (
-    Factorization,
-    SieveTable,
-    read_factorization,
-    run_sieve,
-)
-from .valuations import (
-    ValuationSequence,
-    generate_dci,
-    primes_by_trial_division,
-)
-from .verify import CheckReport, Failure
+Each public name is imported from its submodule on first access (PEP 562),
+so ``import dragonsieve`` and the CLI load only the modules a caller uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "Factorization",
-    "Failure",
-    "PolylinePath",
-    "SieveTable",
-    "TurnSequence",
-    "ValuationSequence",
-    "aperiodicity_witness",
-    "decimate_terms",
-    "format_b_file",
-    "generate_dci",
-    "heighway_turns",
-    "levy_turns",
-    "parse_b_file",
-    "primes_by_trial_division",
-    "read_factorization",
-    "reconstruct_odd_part",
-    "run_sieve",
-    "to_svg",
-    "trace",
-    "write_b_file",
-    "write_svg",
-]
+# Each public name and the submodule that defines it.
+_SUBMODULE = {
+    "CheckReport": "verify",
+    "Factorization": "sieve",
+    "Failure": "verify",
+    "PolylinePath": "render",
+    "SieveTable": "sieve",
+    "TurnSequence": "dragons",
+    "ValuationSequence": "valuations",
+    "aperiodicity_witness": "fractal",
+    "decimate_terms": "fractal",
+    "format_b_file": "bfile",
+    "generate_dci": "valuations",
+    "heighway_turns": "dragons",
+    "levy_turns": "dragons",
+    "parse_b_file": "bfile",
+    "primes_by_trial_division": "valuations",
+    "read_factorization": "sieve",
+    "reconstruct_odd_part": "fractal",
+    "run_sieve": "sieve",
+    "to_svg": "render",
+    "trace": "render",
+    "write_b_file": "bfile",
+    "write_svg": "render",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -38,13 +38,19 @@ def _set_cells(buf: bytearray, terms: bytes, stride: int, offset: int) -> bytes 
     as its digit by one `_TERM_DIGIT` translation and ``buf`` itself is
     returned.  A larger term leaves the placeholder 0; then ``buf`` is split
     there and joined with those terms' text, in order, so ``buf`` must hold
-    no other 0.
+    no other 0.  Only the span from the first placeholder to the last is
+    split, byte by byte; the bytes around it are sliced whole.
     """
     column = terms.translate(_TERM_DIGIT)
     buf[offset::stride] = column
-    if 0 not in column:
+    first = column.find(0)
+    if first < 0:
         return buf
-    pieces = buf.split(b"\0")
+    start = offset + stride * first
+    end = offset + stride * column.rfind(0)
+    pieces = buf[start : end + 1].split(b"\0")  # empty at both ends
+    pieces[0] = buf[:start]
+    pieces[-1] = buf[end + 1 :]
     parts = [b""] * (2 * len(pieces) - 1)
     parts[::2] = pieces
     parts[1::2] = map(_TERM_BYTES.__getitem__, terms.translate(None, _ONE_DIGIT))

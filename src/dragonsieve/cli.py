@@ -2,32 +2,41 @@
 
 Output formats are fixed per data kind: b-file text for sequences, JSON for
 factorizations, TSV for tables, SVG for renders.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error, 141 when the reader of stdout has
+closed it.
+
+Each command imports the modules it uses when it runs, so a request loads
+only its own part of the library.  Its functions are read from their
+modules at that time, so a wrapper patched onto a module (as the
+benchmark's tracer does) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import repeat
 from operator import mod
 from pathlib import Path
 
-from . import verify as verify_mod
-from .bfile import _set_cells, parse_b_file, write_b_file
-from .dragons import heighway_turns, levy_turns
-from .fractal import decimate_terms, reconstruct_odd_part
-from .limits import require_memory
-from .render import check_svg, reduce_mod, write_svg
-from .sieve import read_factorization, run_sieve, write_table
-from .valuations import generate_dci
-
 OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
 
 # Desk-scale default, overridable by a flag.
 DEFAULT_RENDER_LIMIT = 10**4
+
+# The verify suites in run order: {suite: (default, --small)}, each a mapping
+# from a verify.verify_<suite> parameter to its value.  The parameters share
+# their names with the `verify` flags that override them.
+SUITES = {
+    "sieve": ({"limit": 10**5}, {"limit": 1000}),
+    "valuations": ({"limit": 10**6}, {"limit": 10**4}),
+    "fractal": ({"limit": 10**5, "max_period": 10**3}, {"limit": 10**4, "max_period": 100}),
+    "levy": ({"iterations": 10}, {"iterations": 8}),
+    "heighway": ({"iterations": 16}, {"iterations": 10}),
+    "render": ({"limit": 10**4}, {"limit": 2000}),
+}
+
 
 def _out_path(name: str) -> Path:
     base = os.environ.get(OUTDIR_ENV)
@@ -39,11 +48,16 @@ def _out_path(name: str) -> Path:
 
 
 def _cmd_seq(args) -> int:
+    from .bfile import write_b_file
+    from .valuations import generate_dci
+
     write_b_file(generate_dci(args.p, args.limit).terms, sys.stdout)
     return 0
 
 
 def _cmd_sieve(args) -> int:
+    from .sieve import run_sieve, write_table
+
     table = run_sieve(args.limit)
     sys.stdout.flush()
     write_table(table, sys.stdout.buffer)
@@ -51,6 +65,10 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    import json
+
+    from .sieve import read_factorization, run_sieve
+
     limit = args.limit if args.limit is not None else args.n
     table = run_sieve(limit)
     fact = read_factorization(table, args.n)
@@ -60,6 +78,11 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_decimate(args) -> int:
+    from .bfile import _set_cells
+    from .fractal import decimate_terms
+    from .limits import require_memory
+    from .valuations import generate_dci
+
     if args.levels < 0:
         raise ValueError(f"levels must be non-negative, got {args.levels}")
     # Every row and its text: 12 bytes a term, above the RSS growth measured
@@ -85,16 +108,25 @@ def _cmd_decimate(args) -> int:
 
 
 def _cmd_levy(args) -> int:
+    from .bfile import write_b_file
+    from .dragons import levy_turns
+
     write_b_file(levy_turns(args.iterations).terms, sys.stdout)
     return 0
 
 
 def _cmd_heighway(args) -> int:
+    from .bfile import write_b_file
+    from .dragons import heighway_turns
+
     write_b_file(heighway_turns(args.iterations).terms, sys.stdout)
     return 0
 
 
 def _cmd_oddpart(args) -> int:
+    from .bfile import write_b_file
+    from .fractal import reconstruct_odd_part
+
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
         terms = bytes(map(mod, terms, repeat(4)))
@@ -103,6 +135,10 @@ def _cmd_oddpart(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .bfile import parse_b_file
+    from .render import check_svg, reduce_mod, write_svg
+    from .valuations import generate_dci
+
     if (args.p is None) == (args.from_file is None):
         raise ValueError("render takes exactly one of --p and --from-file")
     if args.from_file is not None:
@@ -125,22 +161,22 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = verify_mod.SUITES if args.scope == "all" else (args.scope,)
-    taken = {k for name in names for k in verify_mod.SUITES[name][0]}
-    flags = {k for default, _ in verify_mod.SUITES.values() for k in default}
+    from . import verify
+
+    names = SUITES if args.scope == "all" else (args.scope,)
+    taken = {k for name in names for k in SUITES[name][0]}
+    flags = {k for default, _ in SUITES.values() for k in default}
     unused = sorted(k for k in flags - taken if getattr(args, k) is not None)
     if unused:
         raise ValueError(f"verify {args.scope} does not take "
                          + ", ".join("--" + k.replace("_", "-") for k in unused))
     reports = []
     for name in names:
-        default, small = verify_mod.SUITES[name]
+        default, small = SUITES[name]
         preset = small if args.small else default
         limits = {k: preset[k] if getattr(args, k) is None else getattr(args, k)
                   for k in preset}
-        # Looked up by name at call time, so a wrapper patched onto the module
-        # (as the benchmark's tracer does) is the one that runs.
-        reports += getattr(verify_mod, f"verify_{name}")(**limits)
+        reports += getattr(verify, f"verify_{name}")(**limits)
     # Every suite has run before the first line, so a rejected argument
     # exits 2 without partial output.
     for report in reports:
@@ -203,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("scope", choices=(*verify_mod.SUITES, "all"))
+    p.add_argument("scope", choices=(*SUITES, "all"))
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--max-period", type=int, default=None)
@@ -217,7 +253,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # The reader has gone, as `head` does: point stdout at the null device
+        # so that the flush at exit cannot raise, and exit silently with
+        # 128 + SIGPIPE, the status a shell reports for coreutils in its place.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

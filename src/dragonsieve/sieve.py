@@ -3,15 +3,17 @@
 Row p is a fractal sequence, with 1 + v_p(k) at column k*p, so placing p
 takes only the first K terms of its DCI sequence, K being the number of
 multiples of p up to the width m.  Rows are placed while p*p <= m; the
-primes above sqrt(m) are the columns no row reaches, read in one pass by a
-`translate` and a `compress`.  The table is three flat columns set by
-stepped slices: ``exp`` (the entry; 0 marks a column no row reaches),
-``top`` (the largest placed prime) and ``rest`` (k, a link to column h/p,
-read down to 1, or to n's one prime factor above sqrt(m), to factor).  Each
-row's terms go in as bytes: ``exp`` takes a translated slice of them and
-``rest`` a slice of one multiplier array 0..K built with the table.  The one
-division is CPython's, to find the length of a stepped slice or ``range``;
-nothing in this module divides.  Full rows are never stored.
+primes above sqrt(m) are the columns no row reaches, which the table lists
+only when asked (`prime_headers`, `write_table`), in one pass by a
+`translate` and a `compress`; a factorization never lists them.  The table
+is three flat columns set by stepped slices: ``exp`` (the entry; 0 marks a
+column no row reaches), ``top`` (the largest placed prime, below 2^16) and
+``rest`` (k, a link to column h/p, read down to 1, or to n's one prime
+factor above sqrt(m), to factor).  Each row's terms go in as bytes:
+``exp`` takes a translated slice of them and ``rest`` a slice of one
+multiplier array 0..K built with the table.  The one division is
+CPython's, to find the length of a stepped slice or ``range``; nothing in
+this module divides.  Full rows are never stored.
 """
 
 from __future__ import annotations
@@ -20,20 +22,24 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, starmap
-from typing import BinaryIO
+from itertools import chain, compress, starmap
+from typing import BinaryIO, Iterator
 
 from .bfile import _set_cells
 from .limits import require_memory
 from .valuations import PLUS_ONE, ValuationSequence, generate_dci
 
-_LINK = "I"  # typecode of ``top`` and ``rest``, which hold values up to m
+_LINK = "I"  # typecode of ``rest``, which holds values up to m
 _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
-# Peak RSS growth per column of run_sieve, measured 13.5 at m = 10^6 and 10^7,
-# also once rows stopped at p*p > m: the store (9), the multipliers (2), row 2
-# as bytes with its translated copy (about 1.5) and the primes, 4 bytes each
-# (about 0.3).
-_BYTES_PER_COLUMN = 14
+# Typecode of ``top``, which holds placed primes: `run_sieve` places none above
+# sqrt(_MAX_WIDTH) < 2^16, and `place_row` refuses one above _MAX_PRIME.
+_PRIME = "H"
+_MAX_PRIME = (1 << 8 * array(_PRIME).itemsize) - 1
+# Peak RSS growth per column of run_sieve, measured 11.5-11.6 at m = 10^6 and
+# 10^7: the store (7), the multipliers (2), row 2 as bytes with its translated
+# copy (about 1.5) and its ``top`` entries (1).  Listing the primes above
+# sqrt(m) is the caller's: `prime_headers` adds 36 bytes a prime (about 2).
+_BYTES_PER_COLUMN = 12
 # Entry 0 (a column no row reaches) to 1, every other entry to 0.
 _ZERO_TO_ONE = b"\x01" + bytes(255)
 
@@ -62,21 +68,34 @@ class SieveTable:
             raise ValueError(f"table width {m} exceeds the column store's limit {_MAX_WIDTH}")
         require_memory(f"a sieve table of width {m}", _BYTES_PER_COLUMN * m)
         self.m = m
-        self._primes = array(_LINK)
+        self._primes = array(_LINK)  # the placed rows' primes
+        # Where the columns above the last row start, all unreached ones
+        # primes; m + 1, listing none, until `run_sieve` has placed every row.
+        self._unreached = m + 1
         self._exp = bytearray(m + 1)
-        self._top = array(_LINK, [0]) * (m + 1)
+        self._top = array(_PRIME, [0]) * (m + 1)
         self._rest = array(_LINK, [0]) * (m + 1)
         # Multipliers 0..K for the largest K, p = 2's; sized by a range, not m // 2.
         self._ks = array(_LINK, range(len(range(2, m + 1, 2)) + 1))
 
     @property
     def prime_headers(self) -> list[int]:
-        return list(self._primes)
+        """Every prime up to m: the placed rows' primes, then the unreached columns."""
+        return [*self._primes, *self._unreached_primes()]
+
+    def _unreached_primes(self) -> Iterator[int]:
+        """The columns from ``_unreached`` on that no row reaches, in one pass."""
+        start = self._unreached
+        return compress(range(start, self.m + 1), self._exp[start:].translate(_ZERO_TO_ONE))
 
     def row(self, p: int) -> ValuationSequence:
         """Prime p's full row, generated by DCI; p must be a prime header."""
-        i = bisect_left(self._primes, p)
-        if i == len(self._primes) or self._primes[i] != p:
+        if self._unreached <= p <= self.m:
+            found = self._exp[p] == 0
+        else:
+            i = bisect_left(self._primes, p)
+            found = i < len(self._primes) and self._primes[i] == p
+        if not found:
             raise KeyError(f"no row for {p}")
         return generate_dci(p, self.m)
 
@@ -85,11 +104,13 @@ class SieveTable:
         count = len(range(p, self.m + 1, p))
         if row.p != p or row.m < count:
             raise ValueError("row does not match table")
+        if p > _MAX_PRIME:
+            raise ValueError(f"row {p} is above {_MAX_PRIME}, the largest prime the store holds")
         if self._primes and p <= self._primes[-1]:
             raise ValueError(f"rows are placed in increasing order; {p} follows {self._primes[-1]}")
         self._primes.append(p)
         self._exp[p::p] = row._full[:count].translate(PLUS_ONE)
-        self._top[p::p] = array(_LINK, [p]) * count
+        self._top[p::p] = array(_PRIME, [p]) * count
         self._rest[p::p] = self._ks[1 : count + 1]
 
     def place_unit_row(self, p: int) -> None:
@@ -106,7 +127,8 @@ def run_sieve(m: int) -> SieveTable:
     Columns never unmark, so each scan starts just past the last prime.  A row
     with p*p > m would hold only zero terms, each of its k being below p, and
     mark no column but p, so from the first such p every column no row
-    reaches is a prime.
+    reaches is a prime; the table records where they start and lists them
+    only when asked.
     """
     table = SieveTable(m)
     exp = table._exp
@@ -115,7 +137,7 @@ def run_sieve(m: int) -> SieveTable:
         table.place_row(p, generate_dci(p, len(range(p, m + 1, p))))
         p = exp.find(0, p + 1)
     if p > 0:
-        table._primes.extend(compress(range(p, m + 1), exp[p:].translate(_ZERO_TO_ONE)))
+        table._unreached = p
     return table
 
 
@@ -153,6 +175,6 @@ def write_table(table: SieveTable, out: BinaryIO) -> None:
         out.write(("\t" + "\t".join(map(str, range(j, min(j + 1000, m + 1))))).encode("ascii"))
     out.write(b"\n")
     cells = bytearray(b"\t" * (2 * m) + b"\n")
-    for p in table._primes:
+    for p in chain(table._primes, table._unreached_primes()):
         out.write(str(p).encode("ascii"))
         out.write(_set_cells(cells, table.row(p)._full, 2, 1))

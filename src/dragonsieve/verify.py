@@ -1,11 +1,10 @@
 """Verification suites wiring the division-free constructions to their oracles.
 
 This is the one module that compares a construction against an oracle.
-``SUITES`` lists the suites in run order with their limits.  Each public
-``verify_<suite>`` function builds its constructions from its arguments (a
-rejected argument raises) and hands every check to one runner, which names
-and times it.  A check that raises or runs zero cases becomes a FAIL report;
-the remaining checks still run.
+Each public ``verify_<suite>`` function builds its constructions from its
+arguments (a rejected argument raises) and hands every check to one
+runner, which names and times it.  A check that raises or runs zero
+cases becomes a FAIL report; the remaining checks still run.
 """
 
 from __future__ import annotations
@@ -31,18 +30,6 @@ from .valuations import (
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
 FRACTAL_PRIMES = (2, 3, 5, 7)
-
-# Suites in run order: {suite: (default, --small)}, each a mapping from a
-# verify_<suite> parameter to its value.  The parameters share their names
-# with the `verify` flags that override them.
-SUITES = {
-    "sieve": ({"limit": 10**5}, {"limit": 1000}),
-    "valuations": ({"limit": 10**6}, {"limit": 10**4}),
-    "fractal": ({"limit": 10**5, "max_period": 10**3}, {"limit": 10**4, "max_period": 100}),
-    "levy": ({"iterations": 10}, {"iterations": 8}),
-    "heighway": ({"iterations": 16}, {"iterations": 10}),
-    "render": ({"limit": 10**4}, {"limit": 2000}),
-}
 
 
 @dataclass(frozen=True)

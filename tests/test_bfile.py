@@ -197,3 +197,34 @@ def test_parse_never_calls_the_public_formatter(monkeypatch):
     text = format_b_file(generate_dci(2, _N).terms)
     monkeypatch.setattr(bfile, "format_b_file", refuse)
     assert parse_b_file(io.StringIO(text)) == generate_dci(2, _N).terms
+
+
+def cells_text(terms, stride, offset):
+    """Oracle: each term's decimal text in its cell of ``stride`` dashes, after ``offset`` of them."""
+    return b"".join(b"-" * offset + str(t).encode() + b"-" * (stride - offset - 1) for t in terms)
+
+
+# Which of seven terms are 10 or more: none, the first only, the last only,
+# one in between, the first and last, and every one.
+_PLACEHOLDERS = {"none": (), "first": (0,), "last": (6,), "one": (3,),
+                 "first-and-last": (0, 6), "every": tuple(range(7))}
+
+
+@pytest.mark.parametrize("stride,offset", [(1, 0), (2, 1), (3, 0), (7, 5)])
+@pytest.mark.parametrize("where", list(_PLACEHOLDERS))
+def test_cell_writer_splices_terms_of_two_or_three_digits(where, stride, offset):
+    terms = bytearray(b"\x01\x02\x03\x00\x04\x05\x09")
+    for i in _PLACEHOLDERS[where]:
+        terms[i] = (10, 99, 100, 255, 42, 11, 250)[i]
+    # The cells of stride 2 and 7 keep bytes before the first term, of 3 and 7 after the last.
+    buf = bytearray(b"-" * (7 * stride))
+    got = bfile._set_cells(buf, bytes(terms), stride, offset)
+    assert bytes(got) == cells_text(terms, stride, offset)
+
+
+@given(byte_terms, st.integers(1, 9), st.data())
+@settings(max_examples=200)
+def test_cell_writer_sets_each_term_in_its_cell(terms, stride, data):
+    offset = data.draw(st.integers(0, stride - 1))
+    buf = bytearray(b"-" * (len(terms) * stride))
+    assert bytes(bfile._set_cells(buf, terms, stride, offset)) == cells_text(terms, stride, offset)

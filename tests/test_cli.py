@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -33,7 +36,7 @@ class TestSieveCommand:
 
 
     def test_table_text_needs_memory_for_the_store_only(self, capsys, report_physical_memory):
-        # The width-1000 store (14 KB) fits in 512 KiB and its 340 KB of text streams;
+        # The width-1000 store (12 KB) fits in 512 KiB and its 340 KB of text streams;
         # 8 KiB holds no store.
         _, want, _ = run(capsys, "sieve", "--limit", "1000")
         report_physical_memory(2**19)
@@ -334,6 +337,10 @@ class TestSequenceSizeGuards:
     def test_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                           report_physical_memory, argv):
         # 64 KiB holds none of these commands' 200000 terms; nothing is built.
+        # Each command imports its modules when it runs: import them first, so
+        # that the peak counts what the command allocates, not the imports.
+        for name in ("bfile", "fractal", "render", "valuations", "verify"):
+            importlib.import_module(f"dragonsieve.{name}")
         report_physical_memory(2**16)
         monkeypatch.chdir(tmp_path)
         tracemalloc.start()
@@ -347,3 +354,28 @@ class TestSequenceSizeGuards:
         assert len(err.splitlines()) == 1
         assert peak < 10**5
         assert not (tmp_path / "sub").exists()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as `head` does, ends the command silently with 141."""
+
+    @staticmethod
+    def start(*argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        return subprocess.Popen([sys.executable, "-m", "dragonsieve.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def test_pipe_closed_after_the_first_line(self):
+        # 14 MB of text: the writes fill the pipe long before the last one.
+        proc = self.start("seq", "--p", "2", "--limit", str(10**6))
+        assert proc.stdout.readline() == b"1 0\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+
+    def test_pipe_closed_before_the_output(self):
+        # The JSON line stays in the buffer until `main` flushes it.
+        proc = self.start("factor", "24")
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dragonsieve
 
@@ -68,3 +72,36 @@ def test_public_surface_is_pinned():
     assert dragonsieve.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(dragonsieve, name).__module__.startswith("dragonsieve."), name
+
+
+def modules_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True, timeout=60)
+    return set(run.stdout.split())
+
+
+def test_cli_import_loads_no_command_module():
+    loaded = modules_after("import dragonsieve.cli")
+    assert {"dragonsieve", "dragonsieve.cli"} <= loaded
+    assert loaded.isdisjoint({"dragonsieve.verify", "dragonsieve.render", "dragonsieve.sieve",
+                              "dragonsieve.dragons", "dragonsieve.fractal", "fractions"})
+
+
+def test_factor_loads_neither_render_nor_verify():
+    loaded = modules_after("from dragonsieve.cli import main; main(['factor', '24'])")
+    assert "dragonsieve.sieve" in loaded
+    assert loaded.isdisjoint({"dragonsieve.render", "dragonsieve.verify"})
+
+
+def test_public_name_loads_its_own_module():
+    loaded = modules_after("import dragonsieve; dragonsieve.run_sieve")
+    assert "dragonsieve.sieve" in loaded and "dragonsieve.render" not in loaded
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'sieve_table'"):
+        dragonsieve.sieve_table
+    assert set(PUBLIC) <= set(dir(dragonsieve))

@@ -165,7 +165,7 @@ class TestCutoff:
     """Rows are placed while p*p <= m; the primes above sqrt(m) come from the columns no row reaches."""
 
     @pytest.mark.parametrize(
-        "m", sorted({1, 2, 3} | {q * q + d for q in (2, 3, 5, 7, 31) for d in (-1, 0, 1)}))
+        "m", sorted({1, 2, 3} | {q * q + d for q in (2, 3, 5, 7, 31, 101) for d in (-1, 0, 1)}))
     def test_primes_and_factorizations_around_a_square(self, m):
         table = run_sieve(m)
         primes = primes_by_trial_division(m)
@@ -182,6 +182,37 @@ class TestCutoff:
         table = run_sieve(10**4)
         assert placed == primes_by_trial_division(100)  # 25 rows, the last 97
         assert len(table.prime_headers) == 1229
+
+
+class TestUnreachedColumns:
+    """The primes above sqrt(m) are read from the columns no row reaches only when asked."""
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 10**5])
+    def test_unsieved_table_has_no_headers(self, m):
+        table = SieveTable(m)
+        assert table.prime_headers == []
+        for p in (2, 3, m):
+            with pytest.raises(KeyError):
+                table.row(p)
+
+    def test_row_of_a_prime_above_the_square_root(self):
+        table = run_sieve(100)
+        assert table._unreached == 11  # rows 2, 3, 5 and 7 are placed
+        for p in (11, 53, 97):
+            assert table.row(p).terms == generate_dci(p, 100).terms
+
+    @pytest.mark.parametrize("p", [1, 10, 49, 77, 91, 100, 101, 103])
+    def test_no_row_for_one_a_composite_or_a_prime_above_m(self, p):
+        with pytest.raises(KeyError):
+            run_sieve(100).row(p)
+
+    def test_factorizations_never_list_the_unreached_columns(self, monkeypatch):
+        monkeypatch.setattr(SieveTable, "_unreached_primes",
+                            lambda table: pytest.fail("listed the unreached columns"))
+        table = run_sieve(10**4)
+        assert read_factorization(table, 9973).factors == ((9973, 1),)
+        assert read_factorization(table, 2 * 4999).factors == ((2, 1), (4999, 1))
+        assert table.row(9973).terms == generate_dci(9973, 10**4).terms
 
 
 class TestFormatTable:
@@ -234,6 +265,15 @@ class TestPlaceRow:
         table.place_row(3, generate_dci(3, 10))
         with pytest.raises(ValueError):
             table.place_row(2, generate_dci(2, 10))
+
+    def test_rejects_prime_beyond_top_typecode(self):
+        # No width up to 2^32 - 1 places a row above 65535 = 2^16 - 1.
+        table = SieveTable(70_000)
+        with pytest.raises(ValueError, match="65535"):
+            table.place_row(65_537, generate_dci(65_537, 1))
+        # Nothing was placed: the column is still unreached, read as a prime.
+        assert table.prime_headers == []
+        assert read_factorization(table, 65_537).factors == ((65_537, 1),)
 
     def test_unit_row_is_the_generated_row(self):
         table = SieveTable(30)
@@ -301,7 +341,7 @@ class TestLimits:
         return sink.written, peak
 
     def test_table_text_is_written_a_row_at_a_time(self):
-        # 25 MB of text from a 140 KB store, holding about one row and the header at a time.
+        # 25 MB of text from a 120 KB store, holding about one row and the header at a time.
         table = run_sieve(10**4)
         written, peak = self.written_and_peak(table)
         assert written == len(table_text(table)) > 20 * 2**20

@@ -259,10 +259,12 @@ class TestPlantedSieveDefect:
             "FAIL\tfactorization-reconstructs-n\tcases=999\tfirst: index=37 expected=37 actual=1"]
 
     def test_prime_missing_from_the_list(self, capsys, monkeypatch):
-        # 37, the 12th prime, is the first one read from the unreached columns.
+        # 37, the 12th prime, is the first one read from the unreached columns;
+        # reading them from 38 drops it.
         def missing_37(limit):
             table = run_sieve(limit)
-            table._primes.remove(37)
+            assert table._unreached == 37
+            table._unreached = 38
             return table
 
         monkeypatch.setattr(verify_mod, "run_sieve", missing_37)

@@ -1,9 +1,9 @@
-"""OEIS b-file reading and writing, and the text of byte terms.
+"""OEIS b-file reading and writing, and every other text of byte terms.
 
 One "<index> <value>" pair per line, 1-based, no header.  The writer is
-bit-exact so fixtures can be byte-compared.  `_set_cells` decides the
-decimal text of a byte term for every writer of terms: the b-file blocks
-here, the sieve's TSV rows and the CLI's decimated rows.
+bit-exact so fixtures can be byte-compared.  `write_table` writes the
+sieve table as TSV, and `write_rows` its rows and ``decimate``'s.  Only
+`_set_cells`, private to this module, decides the text of a byte term.
 """
 
 from __future__ import annotations
@@ -11,7 +11,10 @@ from __future__ import annotations
 from functools import cache
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Sequence, TextIO
+
+if TYPE_CHECKING:
+    from .sieve import SieveTable
 
 # Indexes written per chunk, a multiple of 1000 so that every chunk after the
 # first starts a block; bounds the text held at once to about 1 MB.
@@ -66,18 +69,25 @@ def _format(terms: Sequence[int], start: int) -> str:
     """`format_b_file`, under a name of its own so that the parser's use is not a write.
 
     Indexes before the first block of 1000, 1000k..1000k+999 with k >= 1,
-    go line by line.  From there, ``bytes`` terms go through
-    `_format_blocks`, and any other integer terms take one ``%`` a block,
-    through `_INT_LINES` with its \\0 replaced by str(k).
+    go line by line, then one block at a time.  A block of ``bytes`` terms
+    copies the `_template` whose lines (of terms below 10) are str(k) plus 6
+    wide, sets each digit of str(k) by one stepped-slice assignment and the
+    values by `_set_cells`; other integer terms take one ``%`` through
+    `_INT_LINES`, with its \\0 replaced by str(k).
     """
     head = min(len(terms), max(-(-start // 1000), 1) * 1000 - start)
-    text = "".join(map("{} {}\n".format, range(start, start + head), terms[:head]))
-    if isinstance(terms, (bytes, bytearray)):
-        return text + _format_blocks(terms[head:], start + head)
-    blocks = [text]
+    blocks = ["".join(map("{} {}\n".format, range(start, start + head), terms[:head]))]
     for j in range(head, len(terms), 1000):
-        block = tuple(terms[j : j + 1000])
-        blocks.append(_INT_LINES[: 8 * len(block)].replace("\0", str((start + j) // 1000)) % block)
+        block = terms[j : j + 1000]
+        prefix = str((start + j) // 1000)
+        if isinstance(block, (bytes, bytearray)):
+            n, width = len(block), len(prefix) + 6
+            lines = bytearray(_template(len(prefix))[: width * n])
+            for i, digit in enumerate(prefix.encode("ascii")):
+                lines[i::width] = bytes((digit,)) * n
+            blocks.append(_set_cells(lines, block, width, width - 2).decode("ascii"))
+        else:
+            blocks.append(_INT_LINES[: 8 * len(block)].replace("\0", prefix) % tuple(block))
     return "".join(blocks)
 
 
@@ -85,27 +95,6 @@ def _format(terms: Sequence[int], start: int) -> str:
 def _template(digits: int) -> bytes:
     """Lines 000..999 of a block of indexes whose prefix has ``digits`` digits, all set to 0."""
     return "".join(f"{'0' * digits}{j:03d} 0\n" for j in range(1000)).encode("ascii")
-
-
-def _format_blocks(terms: bytes, start: int) -> str:
-    """The b-file text of byte terms from index ``start``, a multiple of 1000 above 0.
-
-    In the block of indexes 1000k..1000k+999, a line whose term is below 10
-    has the width of str(k) plus 6, so the block is a copy of a template:
-    each digit of str(k) is set by one stepped-slice assignment and the
-    value column by `_set_cells`.
-    """
-    out = []
-    for j in range(0, len(terms), 1000):
-        block_terms = terms[j : j + 1000]
-        n = len(block_terms)
-        prefix = str((start + j) // 1000).encode("ascii")
-        width = len(prefix) + 6
-        block = bytearray(_template(len(prefix))[: width * n])
-        for i, digit in enumerate(prefix):
-            block[i::width] = bytes((digit,)) * n
-        out.append(_set_cells(block, block_terms, width, width - 2))
-    return b"".join(out).decode("ascii")
 
 
 def write_b_file(terms: Sequence[int], out: TextIO) -> None:
@@ -117,6 +106,33 @@ def write_b_file(terms: Sequence[int], out: TextIO) -> None:
     for end in range(_CHUNK - 1, len(terms) + _CHUNK, _CHUNK):
         begin = max(end - _CHUNK, 0)
         out.write(format_b_file(terms[begin:end], begin + 1))
+
+
+def write_rows(rows: Iterable[tuple[bytes, bytes]], sep: bytes, out: BinaryIO) -> None:
+    """Write each ``(head, terms)`` row to ``out``: the head, the terms joined by ``sep``, b"\\n".
+
+    ``sep`` must hold no zero byte, which `_set_cells` takes for a placeholder.
+    """
+    stride = 1 + len(sep)
+    cells, size = bytearray(), 0
+    for head, terms in rows:
+        if len(terms) != size:
+            size = len(terms)
+            cells = bytearray(b"0" + sep) * size
+            del cells[len(cells) - len(sep) :]
+        out.write(head)
+        out.write(_set_cells(cells, terms, stride, 0))
+        out.write(b"\n")
+
+
+def write_table(table: SieveTable, out: BinaryIO) -> None:
+    """Write the sieve table to ``out`` as TSV: the header 1000 columns at a time, then each row."""
+    m = table.m
+    for j in range(1, m + 1, 1000):
+        out.write(("\t" + "\t".join(map(str, range(j, min(j + 1000, m + 1))))).encode("ascii"))
+    out.write(b"\n")
+    rows = ((f"{p}\t".encode("ascii"), table.row(p).terms) for p in table.prime_headers)
+    write_rows(rows, b"\t", out)
 
 
 def parse_b_file(lines: Iterable[str], first: int | None = None) -> bytes | list[int]:

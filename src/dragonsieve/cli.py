@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from itertools import repeat
-from operator import mod
+from operator import and_
 from pathlib import Path
 
 OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
@@ -56,7 +56,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    from .sieve import run_sieve, write_table
+    from .bfile import write_table
+    from .sieve import run_sieve
 
     table = run_sieve(args.limit)
     sys.stdout.flush()
@@ -69,7 +70,8 @@ def _cmd_factor(args) -> int:
 
     from .sieve import read_factorization, run_sieve
 
-    limit = args.limit if args.limit is not None else args.n
+    # At width 1 an n below 1 is refused by name, not as a width never given.
+    limit = args.limit if args.limit is not None else max(args.n, 1)
     table = run_sieve(limit)
     fact = read_factorization(table, args.n)
     sys.stdout.write(json.dumps({"n": fact.n, "factors": [list(f) for f in fact.factors]}))
@@ -78,7 +80,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_decimate(args) -> int:
-    from .bfile import _set_cells
+    from .bfile import write_rows
     from .fractal import decimate_terms
     from .limits import require_memory
     from .valuations import generate_dci
@@ -98,12 +100,8 @@ def _cmd_decimate(args) -> int:
         label = "Decimated" if args.levels == 1 else f"Decimated x{level + 1}"
         rows.append((label, current))
     sys.stdout.flush()
-    for label, terms in rows:
-        cells = bytearray(b"0, ") * len(terms)
-        del cells[-2:]
-        sys.stdout.buffer.write(f"{label}:\t".encode("ascii"))
-        sys.stdout.buffer.write(_set_cells(cells, terms, 3, 0))
-        sys.stdout.buffer.write(b"\n")
+    write_rows(((f"{label}:\t".encode("ascii"), terms) for label, terms in rows), b", ",
+               sys.stdout.buffer)
     return 0
 
 
@@ -129,7 +127,7 @@ def _cmd_oddpart(args) -> int:
 
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
-        terms = bytes(map(mod, terms, repeat(4)))
+        terms = bytes(map(and_, terms, repeat(3)))  # an odd part is positive: & 3 is mod 4
     write_b_file(terms, sys.stdout)
     return 0
 
@@ -264,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ValueError, KeyError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

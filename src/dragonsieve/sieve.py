@@ -4,16 +4,16 @@ Row p is a fractal sequence, with 1 + v_p(k) at column k*p, so placing p
 takes only the first K terms of its DCI sequence, K being the number of
 multiples of p up to the width m.  Rows are placed while p*p <= m; the
 primes above sqrt(m) are the columns no row reaches, which the table lists
-only when asked (`prime_headers`, `write_table`), in one pass by a
-`translate` and a `compress`; a factorization never lists them.  The table
-is three flat columns set by stepped slices: ``exp`` (the entry; 0 marks a
-column no row reaches), ``top`` (the largest placed prime, below 2^16) and
-``rest`` (k, a link to column h/p, read down to 1, or to n's one prime
-factor above sqrt(m), to factor).  Each row's terms go in as bytes:
-``exp`` takes a translated slice of them and ``rest`` a slice of one
-multiplier array 0..K built with the table.  The one division is
-CPython's, to find the length of a stepped slice or ``range``; nothing in
-this module divides.  Full rows are never stored.
+only when asked (`prime_headers`), in one pass by a `translate` and a
+`compress`; a factorization never lists them.  The table is three flat
+columns set by stepped slices: ``exp`` (the entry; 0 marks a column no row
+reaches), ``top`` (the largest placed prime, below 2^16) and ``rest`` (k, a
+link to column h/p, read down to 1, or to n's one prime factor above
+sqrt(m), to factor).  Each row's terms go in as bytes: ``exp`` takes a
+translated slice of them and ``rest`` a slice of one multiplier array 0..K
+built with the table.  The one division is CPython's, to find the length of
+a stepped slice or ``range``; nothing in this module divides.  Full rows are
+never stored.  The module holds no text: `bfile` writes the table.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, starmap
-from typing import BinaryIO, Iterator
+from itertools import compress, starmap
+from typing import Iterator
 
-from .bfile import _set_cells
 from .limits import require_memory
 from .valuations import PLUS_ONE, ValuationSequence, generate_dci
 
@@ -109,7 +108,7 @@ class SieveTable:
         if self._primes and p <= self._primes[-1]:
             raise ValueError(f"rows are placed in increasing order; {p} follows {self._primes[-1]}")
         self._primes.append(p)
-        self._exp[p::p] = row._full[:count].translate(PLUS_ONE)
+        self._exp[p::p] = row.terms[:count].translate(PLUS_ONE)
         self._top[p::p] = array(_PRIME, [p]) * count
         self._rest[p::p] = self._ks[1 : count + 1]
 
@@ -162,19 +161,3 @@ def read_factorization(table: SieveTable, n: int) -> Factorization:
         factors.insert(0, (h, 1))
     return Factorization(n, tuple(reversed(factors)))
 
-
-def write_table(table: SieveTable, out: BinaryIO) -> None:
-    """Write the table as tab-separated ASCII to the binary stream ``out``.
-
-    The header row, the columns 1..m, is written 1000 columns at a time;
-    then one row per prime, its header first, its terms set into every
-    second byte of one reused buffer of tabs by `bfile._set_cells`.
-    """
-    m = table.m
-    for j in range(1, m + 1, 1000):
-        out.write(("\t" + "\t".join(map(str, range(j, min(j + 1000, m + 1))))).encode("ascii"))
-    out.write(b"\n")
-    cells = bytearray(b"\t" * (2 * m) + b"\n")
-    for p in chain(table._primes, table._unreached_primes()):
-        out.write(str(p).encode("ascii"))
-        out.write(_set_cells(cells, table.row(p)._full, 2, 1))

@@ -228,3 +228,39 @@ def test_cell_writer_sets_each_term_in_its_cell(terms, stride, data):
     offset = data.draw(st.integers(0, stride - 1))
     buf = bytearray(b"-" * (len(terms) * stride))
     assert bytes(bfile._set_cells(buf, terms, stride, offset)) == cells_text(terms, stride, offset)
+
+
+def rows_text(rows, sep):
+    """Oracle: each row's head, then its terms' decimal text joined by ``sep``, then a newline."""
+    return b"".join(head + sep.join(str(t).encode() for t in terms) + b"\n" for head, terms in rows)
+
+
+def written_rows(rows, sep):
+    out = io.BytesIO()
+    bfile.write_rows(rows, sep, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("sep", [b"\t", b", "])
+@pytest.mark.parametrize("where", list(_PLACEHOLDERS))
+def test_row_writer_joins_each_rows_terms(where, sep):
+    seven = bytearray(b"\x01\x02\x03\x00\x04\x05\x09")
+    for i in _PLACEHOLDERS[where]:
+        seven[i] = (10, 99, 100, 255, 42, 11, 250)[i]
+    # Rows of 7, 7, 0, 1, 7 and 1 terms: the buffer is reused after a row whose
+    # terms of two or three digits left placeholders in it, and rebuilt at each
+    # change of length, empty once.
+    rows = [(b"2\t", bytes(seven)), (b"3\t", bytes(reversed(seven))), (b"Decimated x1:\t", b""),
+            (b"5\t", b"\x0c"), (b"7\t", bytes(seven)), (b"11\t", b"\x05")]
+    assert written_rows(rows, sep) == rows_text(rows, sep)
+
+
+# Rows of up to four terms, so that lengths repeat within a call.
+short_rows = st.lists(st.one_of(st.integers(0, 9), st.integers(10, 255)), max_size=4).map(bytes)
+
+
+@given(st.lists(st.tuples(st.binary(max_size=3), short_rows), max_size=8),
+       st.binary(max_size=3).filter(lambda sep: 0 not in sep))
+@settings(max_examples=200)
+def test_row_writer_writes_each_row_as_joined_text(rows, sep):
+    assert written_rows(rows, sep) == rows_text(rows, sep)

@@ -80,6 +80,24 @@ class TestFactorCommand:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_n_below_one_without_limit_names_n(self, capsys, n):
+        # The width defaults to n, but the error names n, as with a width given.
+        code, out, err = run(capsys, "factor", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be within 1..1, got {n}\n"
+        code, out, err = run(capsys, "factor", n, "--limit", "10")
+        assert err == f"error: n must be within 1..10, got {n}\n"
+
+    @pytest.mark.parametrize("fault", [IndexError, KeyError])
+    def test_program_fault_is_not_a_usage_error(self, monkeypatch, fault):
+        def run_sieve(m):
+            raise fault("planted")
+
+        monkeypatch.setattr("dragonsieve.sieve.run_sieve", run_sieve)
+        with pytest.raises(fault, match="planted"):
+            main(["factor", "24"])
+
 
 class TestSequenceCommands:
     def test_levy(self, capsys):

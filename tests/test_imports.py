@@ -40,6 +40,36 @@ def test_runtime_is_standard_library_only():
         assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def private_imports(tree: ast.AST) -> list[str]:
+    """``from module import name`` for each underscore name imported from a dragonsieve module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "dragonsieve"):
+            source = "." * node.level + (node.module or "")
+            found += [f"from {source} import {alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_private_import_detector_sees_each_form():
+    tree = ast.parse("from .bfile import _set_cells, write_rows\n"
+                     "from dragonsieve.sieve import _LINK\n"
+                     "from . import _private\n"
+                     "from __future__ import annotations\n"
+                     "from operator import __add__\n")
+    assert private_imports(tree) == ["from .bfile import _set_cells",
+                                     "from dragonsieve.sieve import _LINK",
+                                     "from . import _private"]
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # A private name is its module's own: `bfile._set_cells` decides the text
+    # of byte terms, and only `bfile` writes that text.
+    for path in sorted(SRC.glob("*.py")):
+        assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
+
+
 # The public surface, sorted; a name leaves or joins it only by editing this list.
 PUBLIC = [
     "CheckReport",
@@ -93,7 +123,7 @@ def test_cli_import_loads_no_command_module():
 def test_factor_loads_neither_render_nor_verify():
     loaded = modules_after("from dragonsieve.cli import main; main(['factor', '24'])")
     assert "dragonsieve.sieve" in loaded
-    assert loaded.isdisjoint({"dragonsieve.render", "dragonsieve.verify"})
+    assert loaded.isdisjoint({"dragonsieve.render", "dragonsieve.verify", "dragonsieve.bfile"})
 
 
 def test_public_name_loads_its_own_module():

@@ -22,7 +22,7 @@ from dragonsieve import (
     reconstruct_odd_part,
     run_sieve,
 )
-from dragonsieve import bfile, sieve
+from dragonsieve import bfile, cli, sieve
 from dragonsieve.valuations import valuations_by_division
 
 
@@ -50,7 +50,7 @@ def literal_factors(rows, n):
 def table_text(table):
     """The text `write_table` writes, as a string."""
     out = BytesIO()
-    sieve.write_table(table, out)
+    bfile.write_table(table, out)
     return out.getvalue().decode("ascii")
 
 
@@ -334,7 +334,7 @@ class TestLimits:
         sink = Sink()
         tracemalloc.start()
         try:
-            sieve.write_table(table, sink)
+            bfile.write_table(table, sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -378,6 +378,15 @@ class TestDivisionFree:
     def test_cell_writer_does_not_divide(self):
         # The sieve's TSV rows are written through it.
         assert list(_divisions(ast.parse(inspect.getsource(bfile._set_cells)))) == []
+
+    @pytest.mark.parametrize("writer", [bfile.write_rows, bfile.write_table])
+    def test_row_writers_do_not_divide(self, writer):
+        # They write the sieve's TSV rows, as the cell writer does.
+        assert list(_divisions(ast.parse(inspect.getsource(writer)))) == []
+
+    def test_oddpart_command_does_not_divide(self):
+        # `--mod4` reduces the reconstructed odd parts, which are positive, by a mask.
+        assert list(_divisions(ast.parse(inspect.getsource(cli._cmd_oddpart)))) == []
 
     def test_generate_dci_does_not_divide(self):
         assert list(_divisions(ast.parse(inspect.getsource(generate_dci)))) == []

@@ -17,7 +17,6 @@ _SUBMODULE = {
     "SieveTable": "sieve",
     "TurnSequence": "dragons",
     "ValuationSequence": "valuations",
-    "aperiodicity_witness": "fractal",
     "decimate_terms": "fractal",
     "format_b_file": "bfile",
     "generate_dci": "valuations",

@@ -31,7 +31,7 @@ DEFAULT_RENDER_LIMIT = 10**4
 SUITES = {
     "sieve": ({"limit": 10**5}, {"limit": 1000}),
     "valuations": ({"limit": 10**6}, {"limit": 10**4}),
-    "fractal": ({"limit": 10**5, "max_period": 10**3}, {"limit": 10**4, "max_period": 100}),
+    "fractal": ({"limit": 10**5}, {"limit": 10**4}),
     "levy": ({"iterations": 10}, {"iterations": 8}),
     "heighway": ({"iterations": 16}, {"iterations": 10}),
     "render": ({"limit": 10**4}, {"limit": 2000}),
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scope", choices=(*SUITES, "all"))
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--max-period", type=int, default=None)
     p.add_argument("--small", action="store_true", help="desk-scale quick limits")
     p.set_defaults(func=_cmd_verify)
 

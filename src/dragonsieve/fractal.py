@@ -1,9 +1,10 @@
 """Fractal-structure constructions for valuation sequences.
 
 Decimation keeps every (p+1)-th term; a valuation sequence survives that
-selection unchanged, which together with per-period aperiodicity witnesses
-is what certifies the sequence as fractal (``verify`` makes both checks).
-The odd-part reconstruction lives here too.
+selection unchanged.  ``verify`` certifies a prefix of length m as fractal
+by that and by aperiodicity: every period q with p**(a+1) + q <= m, where
+a = v_p(q), is disproved at the closed-form witness p**(a+1), so no search
+and no bound on q is needed.  The odd-part reconstruction lives here too.
 """
 
 from __future__ import annotations
@@ -19,16 +20,6 @@ def decimate_terms(terms: Sequence[int], p: int) -> Sequence[int]:
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
     return terms[p :: p + 1]
-
-
-def aperiodicity_witness(terms: Sequence[int], q: int) -> int | None:
-    """Smallest 1-based i with term[i] != term[i+q], or None if the prefix is q-periodic."""
-    if not 1 <= q < len(terms):
-        raise ValueError(f"period must be within 1..{len(terms) - 1}, got {q}")
-    for i in range(len(terms) - q):
-        if terms[i] != terms[i + q]:
-            return i + 1
-    return None
 
 
 def reconstruct_odd_part(max_index: int) -> array:

@@ -17,7 +17,7 @@ from itertools import pairwise, repeat, zip_longest
 from typing import Callable, Iterable
 
 from .dragons import heighway_turns, levy_turns
-from .fractal import aperiodicity_witness, decimate_terms, reconstruct_odd_part
+from .fractal import decimate_terms, reconstruct_odd_part
 from .render import reduce_mod, trace
 from .sieve import Factorization, read_factorization, run_sieve
 from .valuations import (
@@ -122,23 +122,33 @@ def verify_valuations(limit: int) -> list[CheckReport]:
     return reports
 
 
-def verify_fractal(limit: int, max_period: int) -> list[CheckReport]:
+def verify_fractal(limit: int) -> list[CheckReport]:
+    # Each sequence, decimated once and twice, gives back its own prefix; for
+    # p = 2 and 3, every period q with p**(a+1) + q <= limit, a = v_p(q), is disproved.
     # One construction is held at a time: each sequence is dropped before
     # the next is built, and the odd parts before the identity's column.
     reports, aperiodic = [], []
     for p in FRACTAL_PRIMES:
         terms = generate_dci(p, limit).terms
-        # Decimated once and twice, the sequence gives back its own prefix.
         once = decimate_terms(terms, p)
         for name, kept in (("decimation-self-containment", once),
                            ("nested-decimation", decimate_terms(once, p))):
             reports.append(_run(f"{name}-p{p}", len(kept),
                                 lambda: _first_mismatch(terms[: len(kept)], kept)))
         if p in (2, 3):  # reported after every decimation check
+            # q = p**a * r, with p not dividing r, is disproved at i = p**(a+1):
+            # v_p(i) = a + 1 while v_p(i + q) = a.  One run per a and r mod p holds
+            # the terms i + q for q = r * p**a + j * i, j >= 0; a and r come from
+            # this arithmetic, not from the terms.
+            runs = [(s * p, s * r, terms[s * (p + r) - 1 :: s * p])
+                    for s in (p**a for a in range(limit.bit_length())) if s * (p + 1) <= limit
+                    for r in range(1, p)]
             aperiodic.append(_run(
-                f"aperiodicity-witnesses-p{p}", max_period,
-                lambda: [Failure(q, "witness", None) for q in range(1, max_period + 1)
-                         if aperiodicity_witness(terms, q) is None]))
+                f"aperiodicity-witnesses-p{p}", sum(len(run) for *_, run in runs),
+                lambda: [Failure(q, "witness", None) for q in sorted(
+                    first + i * run.index(terms[i - 1])
+                    for i, first, run in runs if terms[i - 1] in run)]))
+            del runs
         del terms, once, kept
     reports += aperiodic
 

@@ -84,7 +84,7 @@ def test_criterion_04_factorization_reconstruction():
 
 def test_criterion_05_decimation():
     t0 = time.perf_counter()
-    _passed(verify_fractal(10**5, 10**3),
+    _passed(verify_fractal(10**5),
             [f"{name}-p{p}" for p in (2, 3, 5, 7)
              for name in ("decimation-self-containment", "nested-decimation")])
     _criterion(5, "decimation is the identity, two levels deep, for p in {2,3,5,7}", 2.0, t0)
@@ -92,9 +92,12 @@ def test_criterion_05_decimation():
 
 def test_criterion_06_aperiodicity_witnesses():
     t0 = time.perf_counter()
-    _passed(verify_fractal(10**5, 10**3),
-            ["aperiodicity-witnesses-p2", "aperiodicity-witnesses-p3"], 10**3)
-    _criterion(6, "every period up to 1e3 is disproved within 1e5 terms", 2.0, t0)
+    reports = verify_fractal(10**5)
+    _passed(reports, ["aperiodicity-witnesses-p2", "aperiodicity-witnesses-p3"])
+    _passed(reports, ["aperiodicity-witnesses-p2"], 99983)
+    _passed(reports, ["aperiodicity-witnesses-p3"], 99979)
+    _criterion(6, "every period q with p^(a+1) + q <= 1e5, a = v_p(q), is disproved:"
+               " 99983 for p=2, 99979 for p=3", 2.0, t0)
 
 
 def test_criterion_07_levy_theorem():
@@ -115,7 +118,7 @@ def test_criterion_08_heighway_equivalence():
 
 def test_criterion_09_odd_part_machinery():
     t0 = time.perf_counter()
-    _passed(verify_fractal(10**6, 10**3),
+    _passed(verify_fractal(10**6),
             ["odd-part-reconstruction", "odd-even-decomposition-identity"])
     assert list(reconstruct_odd_part(15)) == [1, 1, 3, 1, 5, 3, 7, 1, 9, 5, 11, 3, 13, 7, 15]
     _criterion(9, "odd-part reconstruction and decomposition identity hold", 5.0, t0)

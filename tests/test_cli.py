@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from dragonsieve import format_b_file, levy_turns
-from dragonsieve.cli import main
+from dragonsieve import format_b_file, levy_turns, verify
+from dragonsieve.cli import SUITES, build_parser, main
 from dragonsieve.valuations import valuations_by_division
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -331,7 +333,7 @@ class TestVerifyCommand:
 
     def test_all_takes_every_suites_flags(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--small", "--limit", "300",
-                           "--iterations", "3", "--max-period", "5")
+                           "--iterations", "3")
         assert code == 0
         assert out.splitlines()[-1] == "PASS"
 
@@ -339,6 +341,25 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "bogus-scope"])
         assert exc.value.code == 2
+
+    def test_removed_max_period_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", "--max-period", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_every_flag_sets_a_suite_parameter(self):
+        # No `verify` flag outlives the verify_<suite> parameter it sets.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for action in sub.choices["verify"]._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        params = {name: set(inspect.signature(getattr(verify, f"verify_{name}")).parameters)
+                  for name in SUITES}
+        assert flags - {"--help", "--small"} == {
+            "--" + k.replace("_", "-") for taken in params.values() for k in taken}
+        assert all(set(default) == set(small) == params[name]
+                   for name, (default, small) in SUITES.items())
 
 
 class TestSequenceSizeGuards:

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dragonsieve.verify as verify_mod
 from dragonsieve import (
-    aperiodicity_witness,
+    Failure,
+    ValuationSequence,
     decimate_terms,
     generate_dci,
     reconstruct_odd_part,
 )
-from dragonsieve.valuations import odd_parts_by_division
+from dragonsieve.valuations import odd_parts_by_division, valuations_by_division
+from dragonsieve.verify import FRACTAL_PRIMES
 
 
 class TestDecimate:
@@ -71,30 +75,57 @@ class TestSelfContainment:
         assert twice == terms[: len(twice)]
 
 
+@functools.cache
+def valuation_column(p: int) -> bytes:
+    """v_p(1..(p+1) * 10**6) by the division oracle: each index i + q the property reads."""
+    return valuations_by_division(p, (p + 1) * 10**6)
+
+
+def aperiodicity_report(p, limit):
+    """The aperiodicity report for p of `verify_fractal(limit)`."""
+    return next(r for r in verify_mod.verify_fractal(limit)
+                if r.name == f"aperiodicity-witnesses-p{p}")
+
+
 class TestAperiodicityWitness:
-    def test_period_2_witness_at_2(self):
-        terms = generate_dci(2, 64).terms
-        assert aperiodicity_witness(terms, 2) == 2
+    """q = p**a * r, p not dividing r, is disproved at i = p**(a+1): v_p(i + q) = a."""
 
-    def test_period_1_witness_at_1(self):
-        terms = generate_dci(2, 64).terms
-        assert aperiodicity_witness(terms, 1) == 1
+    @given(p=st.sampled_from(FRACTAL_PRIMES), q=st.integers(1, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_witness(self, p, q):
+        v = valuation_column(p)
+        i = p ** (v[q - 1] + 1)
+        assert v[i - 1] == v[q - 1] + 1
+        assert v[i + q - 1] == v[q - 1]
 
-    def test_periodic_control_has_no_witness(self):
-        assert aperiodicity_witness([0] * 10, 5) is None
+    def test_periodic_control_has_no_witness(self, monkeypatch):
+        # v2(1..8) repeated has period 8, the first q whose witness term recurs.
+        periodic = generate_dci(2, 8).terms * 125
+        monkeypatch.setattr(verify_mod, "generate_dci", lambda p, m: (
+            ValuationSequence(p, m, periodic) if p == 2 else generate_dci(p, m)))
+        assert aperiodicity_report(2, 1000).failures[0] == Failure(8, "witness", None)
 
     def test_accepts_valuation_sequence(self):
-        assert aperiodicity_witness(generate_dci(3, 100).terms, 3) is not None
+        reports = verify_mod.verify_fractal(100)
+        assert [r.summary().rsplit("\t", 1)[0] for r in reports if "aperiodicity" in r.name] == [
+            "ok\taperiodicity-witnesses-p2\tcases=93\t-",
+            "ok\taperiodicity-witnesses-p3\tcases=91\t-"]
 
-    def test_rejects_period_out_of_range(self):
-        with pytest.raises(ValueError):
-            aperiodicity_witness([0, 1, 0], 3)
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_counts_every_period_whose_witness_fits(self, p):
+        # Exactly the q with p**(a+1) + q <= 3000 are cases: none is dropped or added.
+        v = valuations_by_division(p, 3000)
+        fits = sum(p ** (v[q - 1] + 1) + q <= 3000 for q in range(1, 3000))
+        report = aperiodicity_report(p, 3000)
+        assert (report.passed, report.cases) == (True, fits)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_every_small_period_disproved(self, p):
         terms = generate_dci(p, 10**4).terms
+        v = valuations_by_division(p, 100)
         for q in range(1, 101):
-            assert aperiodicity_witness(terms, q) is not None
+            i = p ** (v[q - 1] + 1)
+            assert terms[i - 1] != terms[i + q - 1]
 
 
 class TestOddPartDecimationIndexes:

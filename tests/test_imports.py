@@ -79,7 +79,6 @@ PUBLIC = [
     "SieveTable",
     "TurnSequence",
     "ValuationSequence",
-    "aperiodicity_witness",
     "decimate_terms",
     "format_b_file",
     "generate_dci",
@@ -98,7 +97,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 22
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 21
     assert dragonsieve.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(dragonsieve, name).__module__.startswith("dragonsieve."), name

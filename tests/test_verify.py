@@ -67,11 +67,12 @@ class TestCheckIsolation:
         assert code == 1
         assert err == ""
         assert [line.split("\t")[1] for line in lines[:-1]] == list(VERIFY_CHECKS)
-        aperiodic = [line for line in lines if "\taperiodicity-witnesses-p" in line]
-        assert len(aperiodic) == 2
-        for line in aperiodic:
-            assert line.startswith("FAIL\t")
-            assert "period must be within" in line
+        # Ten terms disprove the periods 1, 2, 3, 5, 6, 7 (p=2) and 1, 2, 4, 5, 7 (p=3);
+        # the run fails through the other checks.
+        aperiodic = [without_timing(line) for line in lines
+                     if "\taperiodicity-witnesses-p" in line]
+        assert aperiodic == ["ok\taperiodicity-witnesses-p2\tcases=6\t-",
+                             "ok\taperiodicity-witnesses-p3\tcases=5\t-"]
         assert lines[-1] == "FAIL"
 
     def test_zero_cases_is_a_failure(self, capsys):
@@ -88,7 +89,7 @@ class TestCheckIsolation:
 
     def test_too_short_to_decimate_is_a_failure(self, capsys):
         # Two terms leave nothing after keeping every third.
-        code, out, _ = run(capsys, "verify", "fractal", "--limit", "2", "--max-period", "1")
+        code, out, _ = run(capsys, "verify", "fractal", "--limit", "2")
         assert code == 1
         assert without_timing(out).splitlines()[0] == (
             "FAIL\tdecimation-self-containment-p2\tcases=0\t"
@@ -104,7 +105,7 @@ class TestRejectedArguments:
         ("heighway", "--iterations", "0"),
         ("all", "--iterations", "-1"),
         # A flag the chosen suite does not take.
-        ("levy", "--limit", "5", "--max-period", "3"),
+        ("levy", "--limit", "5"),
         ("sieve", "--limit", "100", "--iterations", "3"),
         ("fractal", "--small", "--iterations", "3"),
     ])
@@ -131,7 +132,7 @@ class TestMemory:
         report_physical_memory(999_424)
         tracemalloc.start()
         try:
-            reports = verify_mod.verify_fractal(90_000, 100)
+            reports = verify_mod.verify_fractal(90_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -199,11 +200,32 @@ class TestPlantedDefect:
     ])
     def test_decimation_defect(self, capsys, monkeypatch, bad_index, line):
         plant_in_v2(monkeypatch, bad_index)
-        code, out, _ = run(capsys, "verify", "fractal", "--limit", "100",
-                           "--max-period", "10")
+        code, out, _ = run(capsys, "verify", "fractal", "--limit", "100")
         assert code == 1
         assert line in without_timing(out).splitlines()
         assert out.splitlines()[-1] == "FAIL"
+
+    def test_aperiodicity_defect_beyond_period_1000(self, capsys, monkeypatch):
+        # Term 1003 = 2 + 1001 (v2 = 0) becomes 1, the value of term 2, the witness
+        # of every odd period: period 1001 is then undisproved.
+        plant_in_v2(monkeypatch, 1003)
+        code, out, _ = run(capsys, "verify", "fractal", "--limit", "2000")
+        assert code == 1
+        assert [line for line in without_timing(out).splitlines()
+                if not line.startswith("ok\t")] == [
+            "FAIL\taperiodicity-witnesses-p2\tcases=1989\t"
+            "first: index=1001 expected=witness actual=None", "FAIL"]
+
+    def test_constant_sequence_has_no_witness(self, capsys, monkeypatch):
+        # A constant sequence survives every decimation, but no period has a witness.
+        monkeypatch.setattr(verify_mod, "generate_dci", lambda p, m: (
+            ValuationSequence(p, m, bytes(m)) if p == 2 else generate_dci(p, m)))
+        code, out, _ = run(capsys, "verify", "fractal", "--limit", "100")
+        assert code == 1
+        assert [line for line in without_timing(out).splitlines()
+                if not line.startswith("ok\t")] == [
+            "FAIL\taperiodicity-witnesses-p2\tcases=93\t"
+            "first: index=1 expected=witness actual=None", "FAIL"]
 
     @pytest.mark.parametrize("suite,iterations,build,index,turn,line", [
         # Levy turn 5 is v2(40) = 3.
@@ -279,8 +301,7 @@ class TestPlantedOddPartDefect:
 
     @staticmethod
     def fractal_lines(capsys, limit):
-        code, out, _ = run(capsys, "verify", "fractal", "--limit", str(limit),
-                           "--max-period", "10")
+        code, out, _ = run(capsys, "verify", "fractal", "--limit", str(limit))
         lines = without_timing(out).splitlines()
         assert code == 1 and lines[-1] == "FAIL"
         return [line for line in lines if "\todd-" in line]

@@ -90,6 +90,25 @@ def aperiodicity_report(p, limit):
 class TestAperiodicityWitness:
     """q = p**a * r, p not dividing r, is disproved at i = p**(a+1): v_p(i + q) = a."""
 
+    @staticmethod
+    def first_disagreement(terms, q):
+        """The least i with terms[i] != terms[i + q] (1-based), the smallest witness of q."""
+        return next(i for i in range(1, len(terms) - q + 1) if terms[i - 1] != terms[i + q - 1])
+
+    def test_period_2_witness_at_2(self):
+        # The smallest witness of q = 2 is 2 (v2(2) = 1, v2(4) = 2); the
+        # closed-form one is 2**(1 + 1) = 4 (v2(4) = 2, v2(6) = 1).
+        terms = generate_dci(2, 64).terms
+        assert self.first_disagreement(terms, 2) == 2
+        assert (terms[4 - 1], terms[4 + 2 - 1]) == (2, 1)
+
+    def test_period_1_witness_at_1(self):
+        # The smallest witness of q = 1 is 1 (v2(1) = 0, v2(2) = 1); the
+        # closed-form one is 2**(0 + 1) = 2 (v2(2) = 1, v2(3) = 0).
+        terms = generate_dci(2, 64).terms
+        assert self.first_disagreement(terms, 1) == 1
+        assert (terms[2 - 1], terms[2 + 1 - 1]) == (1, 0)
+
     @given(p=st.sampled_from(FRACTAL_PRIMES), q=st.integers(1, 10**6))
     @settings(max_examples=300, deadline=None)
     def test_closed_form_witness(self, p, q):

@@ -13,10 +13,17 @@ coordinates are running sums of the unit vectors, so every float addition
 is the one a per-vertex loop would make, in the same order.  `trace` keeps
 the vertices as a `PolylinePath`, which `to_svg` renders.  `write_svg`
 writes the same document without keeping them: it walks once for the
-bounding box and once more for the points.  Each chunk of points is
-shifted into the viewBox and formatted by one ``%`` of a format string
-repeated per vertex: ``"%.6f,%.6f"``, or ``"%d.000000,%d.000000"`` on the
-lattice, which gives the same text from exact ints.
+bounding box and once more for the points.
+
+Formatting the points runs bytecode once per distinct coordinate of a
+chunk, not per vertex: each axis has a memo from a coordinate to its text,
+shifted into the viewBox as ``"%.6f"``, or as ``"%d.000000"`` on the
+lattice, which gives the same text from exact ints.  The memo is emptied
+after every chunk, and the chunk's points are one join of its texts with
+``","`` and ``" "`` already in place between them.  A walk that seldom
+repeats a coordinate within a chunk (a straight run, v2 at 72 degrees, v3
+at 120) pays for a dict miss per vertex, and formats more slowly than one
+``%`` per chunk of a per-vertex format would.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, starmap
-from operator import add, mod, neg, sub
+from operator import mod, neg
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .limits import require_memory
@@ -97,8 +104,9 @@ def write_svg(
     """Write ``to_svg(trace(terms, angle, mapping, clockwise))`` to the open stream ``out``.
 
     The walk runs twice: once for the bounding box, then again for the
-    points, written ``CHUNK`` vertices at a time.  No more than one chunk
-    of vertices is held.  `check_svg` runs before anything is written.
+    points, written ``CHUNK`` vertices at a time, each distinct coordinate
+    of a chunk formatted once.  No more than one chunk of vertices, and of
+    their texts, is held.  `check_svg` runs before anything is written.
     """
     check_svg(terms, angle, mapping, stroke_width)
     angle = Fraction(angle)
@@ -115,10 +123,13 @@ def check_svg(terms: Sequence[int], angle: float | int | Fraction, mapping: str,
     # Peak RSS growth of `render` per term, the terms' construction or parse
     # included, as bytes or as a list of ints (up to 8.5 and 46.2 measured at
     # 10^5 and 10^6 terms, with `--mod`), and per vertex of the chunk held
-    # (211-238 under tracemalloc; 272 also bounds `render --from-file` at 10^5).
+    # with its texts (195-292 under tracemalloc at 10^5 terms, the most where
+    # every coordinate of a chunk is new; the largest RSS growth of
+    # `render --from-file` of 10^5 terms, in 22 runs, is 3.43 MiB against the
+    # 3.70 MiB this allows).
     per_term = 10 if isinstance(terms, (bytes, bytearray)) else 48
     require_memory(f"a trace of {len(terms)} terms",
-                   per_term * len(terms) + 272 * min(len(terms) + 1, CHUNK))
+                   per_term * len(terms) + 352 * min(len(terms) + 1, CHUNK))
 
 
 def _check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str) -> None:
@@ -232,7 +243,12 @@ def _svg_text(
     """Yield the SVG document of the vertices inside ``box``, the points a chunk at a time.
 
     ``lattice`` says every coordinate is an int, so every point lands on
-    whole numbers, and ``%d`` formats them.
+    whole numbers, and ``%d`` formats them.  Each axis has a memo of
+    coordinate -> text, emptied after every chunk, so a chunk formats each
+    distinct coordinate once and its points are one join of the texts.
+    Coordinates equal under ``==`` (0.0 and -0.0, or an int and its float)
+    share one text, which is the text of either: they shift to the same
+    number.
     """
     min_x, max_x, min_y, max_y = box
     width = (max_x - min_x) + 2 * MARGIN
@@ -245,25 +261,37 @@ def _svg_text(
         'points="'
     )
     if lattice:
-        point = "%d.000000,%d.000000"
         shift_x, shift_y = MARGIN - min_x, max_y + MARGIN
+
+        class TextX(dict):
+            def __missing__(self, x):
+                text = self[x] = "%d.000000" % (x + shift_x)
+                return text
+
+        class TextY(dict):
+            def __missing__(self, y):
+                text = self[y] = "%d.000000" % (shift_y - y)
+                return text
     else:
-        point = "%.6f,%.6f"
-    formats: dict[int, str] = {}  # vertices in a chunk -> its format string
+        class TextX(dict):
+            def __missing__(self, x):
+                text = self[x] = "%.6f" % ((x - min_x) + MARGIN)
+                return text
+
+        class TextY(dict):
+            def __missing__(self, y):
+                text = self[y] = "%.6f" % ((max_y - y) + MARGIN)
+                return text
+    text_x, text_y = TextX(), TextY()
     sep = ""
     for xs, ys in columns:
-        k = len(xs)
-        if k not in formats:
-            formats[k] = " ".join([point] * k)
-        flat = [None] * (2 * k)
-        if lattice:
-            flat[0::2] = map(add, xs, repeat(shift_x))
-            flat[1::2] = map(sub, repeat(shift_y), ys)
-        else:
-            flat[0::2] = map(add, map(sub, xs, repeat(min_x)), repeat(MARGIN))
-            flat[1::2] = map(add, map(sub, repeat(max_y), ys), repeat(MARGIN))
-        yield sep
-        yield formats[k] % tuple(flat)
+        flat = [" ", None, ",", None] * len(xs)
+        flat[0] = sep
+        flat[1::4] = map(text_x.__getitem__, xs)
+        text_x.clear()  # emptied as soon as it is read, to lower the chunk's peak
+        flat[3::4] = map(text_y.__getitem__, ys)
+        text_y.clear()
+        yield "".join(flat)
         sep = " "
     yield '"/>\n</svg>\n'
 

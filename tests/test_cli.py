@@ -238,11 +238,11 @@ class TestRenderCommand:
     def test_from_file_guard_charges_what_the_parse_holds(self, capsys, tmp_path,
                                                           report_physical_memory, head, per_term):
         # A term of 256 makes the parse a list of ints.  10^4 terms need per_term bytes each
-        # plus the SVG writer's chunk, 272 bytes for each of 8192 vertices, and not a byte less.
+        # plus the SVG writer's chunk, 352 bytes for each of 8192 vertices, and not a byte less.
         src = tmp_path / "terms.bfile"
         src.write_text(format_b_file([head] + [1] * 9999))
         argv = ("render", "--from-file", str(src), "-o", str(tmp_path / "x.svg"))
-        need = per_term * 10**4 + 272 * 8192
+        need = per_term * 10**4 + 352 * 8192
         page = os.sysconf("SC_PAGE_SIZE")
         report_physical_memory(need - 1)
         code, out, err = run(capsys, *argv)

@@ -6,8 +6,10 @@ import io
 import math
 import os
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -22,7 +24,7 @@ from dragonsieve import (
     write_svg,
 )
 from dragonsieve.cli import main
-from dragonsieve.render import CHUNK, reduce_mod
+from dragonsieve.render import CHUNK, PolylinePath, reduce_mod
 
 # CCW quarter-turn rotation applied h times, for lattice normalization.
 def _rot(v, h):
@@ -99,6 +101,48 @@ def _reference_svg(terms, angle, mapping, clockwise, stroke_width, margin):
         f'<polyline fill="none" stroke="black" stroke-width="{stroke_width}" '
         f'points="{points}"/>\n</svg>\n'
     )
+
+
+# Walks of three chunks and a part of one, by how their coordinates repeat: random
+# turns (at 60, 90 and 120 degrees every chunk repeats most of its coordinates),
+# random turns for a chunk and a half and then a straight run (whose every x is
+# new), and a straight run from the first term.
+_WALKS = ("random", "random-then-straight", "straight")
+
+# Each walk at each angle; the term type, mapping and chirality run through all
+# eight of their combinations over the eighteen cases.
+_REPEAT_CASES = [
+    (walk, angle, i % 2 == 0, ("ccw-count", "categorical-mod4")[i // 2 % 2], i // 4 % 2 == 1)
+    for i, (walk, angle) in enumerate(product(_WALKS, [90, 120, 135, 72, 90.1, Fraction(1, 3)]))
+]
+
+
+def _walk_terms(walk, as_bytes, mapping):
+    n = 3 * CHUNK + 100
+    rng = random.Random(0)
+    straight = 0 if mapping == "ccw-count" else 1  # the term that does not turn
+    head = {"random": n, "random-then-straight": CHUNK + CHUNK // 2, "straight": 0}[walk]
+    if as_bytes:
+        return rng.randbytes(head) + bytes([straight]) * (n - head)
+    return [rng.randint(-400, 400) for _ in range(head)] + [straight] * (n - head)
+
+
+def _memo_misses(terms, angle):
+    """Calls of the coordinate memos' ``__missing__`` while `write_svg` writes the walk."""
+    misses = 0
+
+    def count(frame, event, arg):
+        nonlocal misses
+        if (event == "call" and frame.f_code.co_name == "__missing__"
+                and type(frame.f_locals.get("self")).__name__ in ("TextX", "TextY")):
+            misses += 1
+
+    sys.setprofile(count)
+    try:
+        write_svg(terms, io.StringIO(), angle)
+    finally:
+        sys.setprofile(None)
+    return misses
 
 
 class TestTrace:
@@ -227,6 +271,20 @@ class TestToSvg:
         pts = svg.split('points="')[1].split('"')[0].split()
         assert len(pts) == len(path.vertices)
 
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_equal_coordinates_give_one_text(self, lattice):
+        # The formatter looks each coordinate's text up by value, so 0.0 and
+        # -0.0, or 1 and 1.0, share whichever text was made first.
+        xs = [-0.0, 0.0, 0, 2, -0.0, 3, 0.0, 2, -1, 0]
+        ys = [0.0, -0.0, 0, 0.0, 1, 0, 1, -0.0, 0, -0.0]
+        if not lattice:
+            xs[3:5], ys[4:7] = [2.0, -0.0], [1.0, 0, 1]
+        vertices = tuple(zip(xs, ys))
+        min_x, max_y = min(xs), max(ys)
+        want = " ".join("%.6f,%.6f" % ((x - min_x) + 8, (max_y - y) + 8) for x, y in vertices)
+        svg = to_svg(PolylinePath(vertices, lattice))
+        assert svg.split('points="')[1].split('"')[0] == want
+
 
 class TestWriteSvg:
     @given(
@@ -275,6 +333,25 @@ class TestWriteSvg:
         write_svg(terms, out, 120, clockwise=True)
         assert out.getvalue() == to_svg(trace(terms, 120, clockwise=True))
 
+    @pytest.mark.parametrize("walk,angle,as_bytes,mapping,clockwise", _REPEAT_CASES)
+    def test_equals_the_per_vertex_reference_whether_coordinates_repeat(
+            self, walk, angle, as_bytes, mapping, clockwise):
+        terms = _walk_terms(walk, as_bytes, mapping)
+        want = _reference_svg(terms, angle, mapping, clockwise, 1.0, 8.0)
+        out = io.StringIO()
+        write_svg(terms, out, angle, mapping, clockwise)
+        assert out.getvalue() == want
+        assert to_svg(trace(terms, angle, mapping, clockwise)) == want
+
+    @pytest.mark.parametrize("walk", _WALKS)
+    @pytest.mark.parametrize("angle", [90, 120])
+    def test_formats_each_distinct_coordinate_once_per_chunk(self, walk, angle):
+        terms = _walk_terms(walk, True, "ccw-count")
+        vertices = trace(terms, angle).vertices
+        chunks = [vertices[i : i + CHUNK] for i in range(0, len(vertices), CHUNK)]
+        distinct = sum(len({x for x, _ in c}) + len({y for _, y in c}) for c in chunks)
+        assert _memo_misses(terms, angle) == distinct
+
     @pytest.mark.parametrize("terms,angle,mapping,match", [
         ((), 90, "ccw-count", "no terms to trace"),
         ((0, 1), 181, "ccw-count", "angle must be within"),
@@ -300,8 +377,8 @@ class TestWriteSvg:
                              ids=["bytes", "list"])
     def test_rejects_walk_beyond_memory_before_writing(self, report_physical_memory,
                                                         terms, per_term):
-        # per_term bytes a term and 272 for each vertex of the chunk, and not a byte less.
-        need = per_term * 1000 + 272 * 1001
+        # per_term bytes a term and 352 for each vertex of the chunk, and not a byte less.
+        need = per_term * 1000 + 352 * 1001
         report_physical_memory(need - 1)
         out = io.StringIO()
         with pytest.raises(ValueError, match="a trace of 1000 terms would not fit"):
@@ -312,8 +389,8 @@ class TestWriteSvg:
         assert out.getvalue().endswith("</svg>\n")
 
     def test_peak_memory_does_not_grow_with_the_walk(self):
-        def peak(n):
-            terms = generate_dci(2, n).terms
+        # v2 and random turns at 120 degrees: the memo holds no text past its chunk.
+        def peak(terms):
             with open(os.devnull, "w", encoding="utf-8") as out:
                 tracemalloc.start()
                 try:
@@ -322,7 +399,9 @@ class TestWriteSvg:
                 finally:
                     tracemalloc.stop()
 
-        assert peak(4 * 10**5) < 2 * peak(10**5)
+        assert peak(generate_dci(2, 4 * 10**5).terms) < 2 * peak(generate_dci(2, 10**5).terms)
+        rng = random.Random(0)
+        assert peak(rng.randbytes(4 * 10**5)) < 2 * peak(rng.randbytes(10**5))
 
 
 class TestRenderedDocuments:

@@ -8,17 +8,20 @@ degrees the walk stays on the integer lattice and coordinates are exact.
 One generator walks the terms, ``CHUNK`` vertices at a time, as an x
 column and a y column.  No vertex is visited by Python bytecode: headings
 are a running sum of the turns reduced by the order, unit vectors come from
-per-axis tables (exact ints on the lattice, filled lazily elsewhere), and
-coordinates are running sums of the unit vectors, so every float addition
-is the one a per-vertex loop would make, in the same order.  `trace` keeps
+per-axis tables (exact ints on the lattice, filled lazily elsewhere and
+emptied once they hold more than a chunk's headings), and coordinates are
+running sums of the unit vectors, so every float addition is the one a
+per-vertex loop would make, in the same order.  `trace` keeps
 the vertices as a `PolylinePath`, which `to_svg` renders.  `write_svg`
 writes the same document without keeping them: it walks once for the
 bounding box and once more for the points.
 
 Formatting the points runs bytecode once per distinct coordinate of a
 chunk, not per vertex: each axis has a memo from a coordinate to its text,
-shifted into the viewBox as ``"%.6f"``, or as ``"%d.000000"`` on the
-lattice, which gives the same text from exact ints.  The memo is emptied
+shifted into the viewBox and formatted by its type, an int as
+``"%d.000000"`` (the text ``"%.6f"`` gives its float) and any other number
+as ``"%.6f"``.  Only `_walk` knows the lattice: the formatter, `trace`
+and `to_svg` see ints or floats and nothing else.  The memo is emptied
 after every chunk, and the chunk's points are one join of its texts with
 ``","`` and ``" "`` already in place between them.  A walk that seldom
 repeats a coordinate within a chunk (a straight run, v2 at 72 degrees, v3
@@ -61,13 +64,9 @@ MARGIN = 8
 
 @dataclass(frozen=True)
 class PolylinePath:
-    """Vertices of a traced walk; one more vertex than input terms.
-
-    ``lattice`` marks exact integer coordinates.
-    """
+    """Vertices of a traced walk; one more vertex than input terms."""
 
     vertices: tuple[tuple[float, float], ...]
-    lattice: bool
 
 
 def trace(
@@ -86,10 +85,8 @@ def trace(
     """
     _check_walk(terms, angle, mapping)
     require_memory(f"a trace of {len(terms)} terms", _BYTES_PER_TERM * len(terms))
-    angle = Fraction(angle)
-    columns = _walk(terms, angle, mapping, clockwise)
-    return PolylinePath(tuple(chain.from_iterable(starmap(zip, columns))),
-                        angle in _LATTICE_UNITS)
+    columns = _walk(terms, Fraction(angle), mapping, clockwise)
+    return PolylinePath(tuple(chain.from_iterable(starmap(zip, columns))))
 
 
 def write_svg(
@@ -111,8 +108,7 @@ def write_svg(
     check_svg(terms, angle, mapping, stroke_width)
     angle = Fraction(angle)
     box = _bounds(_walk(terms, angle, mapping, clockwise))
-    out.writelines(_svg_text(_walk(terms, angle, mapping, clockwise), box, stroke_width,
-                             angle in _LATTICE_UNITS))
+    out.writelines(_svg_text(_walk(terms, angle, mapping, clockwise), box, stroke_width))
 
 
 def check_svg(terms: Sequence[int], angle: float | int | Fraction, mapping: str,
@@ -123,13 +119,15 @@ def check_svg(terms: Sequence[int], angle: float | int | Fraction, mapping: str,
     # Peak RSS growth of `render` per term, the terms' construction or parse
     # included, as bytes or as a list of ints (up to 8.5 and 46.2 measured at
     # 10^5 and 10^6 terms, with `--mod`), and per vertex of the chunk held
-    # with its texts (195-292 under tracemalloc at 10^5 terms, the most where
-    # every coordinate of a chunk is new; the largest RSS growth of
-    # `render --from-file` of 10^5 terms, in 22 runs, is 3.43 MiB against the
-    # 3.70 MiB this allows).
+    # with its texts and up to two chunks' unit-vector table entries (185-262
+    # under tracemalloc at 10^5 and 4*10^5 terms at 72, 90 and 120 degrees,
+    # 588-595 at 47.3 and 90.1, where nearly every heading is new; the
+    # largest RSS growth of `render --from-file` of 10^5 terms at such an
+    # angle is 7.20 MiB for bytes and 10.47 MiB for a list of ints, against
+    # the 7.45 and 11.08 MiB this allows).
     per_term = 10 if isinstance(terms, (bytes, bytearray)) else 48
     require_memory(f"a trace of {len(terms)} terms",
-                   per_term * len(terms) + 352 * min(len(terms) + 1, CHUNK))
+                   per_term * len(terms) + 832 * min(len(terms) + 1, CHUNK))
 
 
 def _check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str) -> None:
@@ -180,6 +178,9 @@ def _walk(
         chunk = list(islice(headings, CHUNK))
         xs = list(accumulate(map(x_of.__getitem__, chunk), initial=x))
         ys = list(accumulate(map(y_of.__getitem__, chunk), initial=y))
+        if len(x_of) > CHUNK:  # a float angle of large order: keep about a chunk's headings
+            x_of.clear()
+            y_of.clear()
         if len(chunk) < CHUNK:
             yield xs, ys
             return
@@ -188,7 +189,11 @@ def _walk(
 
 
 class _AxisTable(dict):
-    """Heading -> one coordinate of its unit vector, computed on first lookup."""
+    """Heading -> one coordinate of its unit vector, computed on first lookup.
+
+    `_walk` empties it when it outgrows a chunk: a cleared value is computed
+    again by the same expression, so it is the same float.
+    """
 
     def __init__(self, angle: Fraction, axis: Callable[[float], float]) -> None:
         super().__init__()
@@ -211,7 +216,7 @@ def to_svg(path: PolylinePath, *, stroke_width: float = 1.0) -> str:
         raise ValueError("cannot render an empty path")
     _check_stroke_width(stroke_width)
     box = _bounds(_columns(vertices))
-    return "".join(_svg_text(_columns(vertices), box, stroke_width, path.lattice))
+    return "".join(_svg_text(_columns(vertices), box, stroke_width))
 
 
 def _columns(vertices: Sequence[tuple[float, float]]) -> Iterator[Iterator[tuple]]:
@@ -238,17 +243,17 @@ def _svg_text(
     columns: Iterable[tuple[Sequence, Sequence]],
     box: tuple[float, float, float, float],
     stroke_width: float,
-    lattice: bool,
 ) -> Iterator[str]:
     """Yield the SVG document of the vertices inside ``box``, the points a chunk at a time.
 
-    ``lattice`` says every coordinate is an int, so every point lands on
-    whole numbers, and ``%d`` formats them.  Each axis has a memo of
-    coordinate -> text, emptied after every chunk, so a chunk formats each
-    distinct coordinate once and its points are one join of the texts.
-    Coordinates equal under ``==`` (0.0 and -0.0, or an int and its float)
-    share one text, which is the text of either: they shift to the same
-    number.
+    Each axis has a memo of coordinate -> text, emptied after every chunk,
+    so a chunk formats each distinct coordinate once and its points are one
+    join of the texts.  A coordinate shifted into the viewBox is formatted
+    by its type: an int, as on the lattice, by ``"%d.000000"``, which
+    gives the text of ``"%.6f"`` without a float conversion, and a float
+    or a fraction by ``"%.6f"``.  Coordinates equal under ``==`` (0.0
+    and -0.0, or an int and its float) share one text, which is the text
+    of either: they shift to the same number.
     """
     min_x, max_x, min_y, max_y = box
     width = (max_x - min_x) + 2 * MARGIN
@@ -260,28 +265,18 @@ def _svg_text(
         f'<polyline fill="none" stroke="black" stroke-width="{stroke_width}" '
         'points="'
     )
-    if lattice:
-        shift_x, shift_y = MARGIN - min_x, max_y + MARGIN
 
-        class TextX(dict):
-            def __missing__(self, x):
-                text = self[x] = "%d.000000" % (x + shift_x)
-                return text
+    class TextX(dict):
+        def __missing__(self, x):
+            v = (x - min_x) + MARGIN
+            text = self[x] = "%d.000000" % v if type(v) is int else "%.6f" % v
+            return text
 
-        class TextY(dict):
-            def __missing__(self, y):
-                text = self[y] = "%d.000000" % (shift_y - y)
-                return text
-    else:
-        class TextX(dict):
-            def __missing__(self, x):
-                text = self[x] = "%.6f" % ((x - min_x) + MARGIN)
-                return text
-
-        class TextY(dict):
-            def __missing__(self, y):
-                text = self[y] = "%.6f" % ((max_y - y) + MARGIN)
-                return text
+    class TextY(dict):
+        def __missing__(self, y):
+            v = (max_y - y) + MARGIN
+            text = self[y] = "%d.000000" % v if type(v) is int else "%.6f" % v
+            return text
     text_x, text_y = TextX(), TextY()
     sep = ""
     for xs, ys in columns:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -15,3 +16,19 @@ def report_physical_memory(monkeypatch):
         monkeypatch.setattr(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k))
 
     return report
+
+
+@pytest.fixture
+def traced_peak():
+    """Call a function under tracemalloc: its result, and the bytes traced after it and at peak."""
+
+    def run(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
+
+    return run

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -238,11 +237,11 @@ class TestRenderCommand:
     def test_from_file_guard_charges_what_the_parse_holds(self, capsys, tmp_path,
                                                           report_physical_memory, head, per_term):
         # A term of 256 makes the parse a list of ints.  10^4 terms need per_term bytes each
-        # plus the SVG writer's chunk, 352 bytes for each of 8192 vertices, and not a byte less.
+        # plus the SVG writer's chunk, 832 bytes for each of 8192 vertices, and not a byte less.
         src = tmp_path / "terms.bfile"
         src.write_text(format_b_file([head] + [1] * 9999))
         argv = ("render", "--from-file", str(src), "-o", str(tmp_path / "x.svg"))
-        need = per_term * 10**4 + 352 * 8192
+        need = per_term * 10**4 + 832 * 8192
         page = os.sysconf("SC_PAGE_SIZE")
         report_physical_memory(need - 1)
         code, out, err = run(capsys, *argv)
@@ -374,7 +373,7 @@ class TestSequenceSizeGuards:
     ], ids=["seq", "decimate", "oddpart", "render",
             "verify-valuations", "verify-fractal", "verify-render"])
     def test_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch,
-                                          report_physical_memory, argv):
+                                          report_physical_memory, traced_peak, argv):
         # 64 KiB holds none of these commands' 200000 terms; nothing is built.
         # Each command imports its modules when it runs: import them first, so
         # that the peak counts what the command allocates, not the imports.
@@ -382,12 +381,7 @@ class TestSequenceSizeGuards:
             importlib.import_module(f"dragonsieve.{name}")
         report_physical_memory(2**16)
         monkeypatch.chdir(tmp_path)
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, *argv, "--limit", "200000")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (code, out, err), _, peak = traced_peak(lambda: run(capsys, *argv, "--limit", "200000"))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "of 200000 terms would not fit" in err
         assert len(err.splitlines()) == 1

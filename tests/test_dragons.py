@@ -4,13 +4,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonsieve import heighway_turns, levy_turns
+from dragonsieve import heighway_turns, levy_turns, render, trace
 from dragonsieve.valuations import odd_parts_mod4_by_division, valuations_by_division
+
+# Unit vectors by heading in quarter turns, kept apart from the renderer's table.
+_QUARTER_TURNS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def v2_at_multiples_of_8(count):
     """v2(8), v2(16), ..., v2(8 * count) from the division oracle."""
     return valuations_by_division(2, 8 * count)[7::8]
+
+
+def levy_vertices(j, clockwise=False):
+    """The Levy C curve of j iterations, segment i heading -popcount(i) quarter turns.
+
+    Segment i heads the sum of the turns 3 + v2(k) for k <= i, which is
+    4i - popcount(i) by Legendre's formula; clockwise negates it.
+    """
+    sign = 1 if clockwise else -1
+    x = y = 0
+    vertices = [(x, y)]
+    for i in range(2 ** (j + 1) - 1):
+        dx, dy = _QUARTER_TURNS[sign * i.bit_count() % 4]
+        x, y = x + dx, y + dy
+        vertices.append((x, y))
+    return tuple(vertices)
+
+
+def heighway_points(j):
+    """The paper-folding unfolding of j folds, as complex points.
+
+    Each fold appends the points so far, reversed and turned a quarter
+    clockwise about the last one.
+    """
+    points = [0, 1]
+    for _ in range(j):
+        e = points[-1]
+        points += [e + (p - e) * -1j for p in reversed(points[:-1])]
+    return points
+
+
+def heighway_trace(j):
+    """The traced Heighway dragon of j iterations, as complex points.
+
+    `trace` draws one segment per term, so the 2**j - 1 turns need a
+    trailing term to draw the last of the 2**j segments.
+    """
+    return [complex(x, y) for x, y in trace(heighway_turns(j).terms + b"\0", 90).vertices]
 
 
 class TestLevyTurns:
@@ -117,3 +158,21 @@ class TestHeighwayEquivalence:
     def test_matches_oracle(self, j):
         terms = heighway_turns(j).terms
         assert terms == odd_parts_mod4_by_division(2**j - 1)
+
+
+class TestDragonVertices:
+    @pytest.mark.parametrize("clockwise", [False, True])
+    @pytest.mark.parametrize("j", range(13))
+    def test_levy_segment_headings_are_popcounts(self, j, clockwise):
+        path = trace(levy_turns(j).terms, 90, clockwise=clockwise)
+        assert path.vertices == levy_vertices(j, clockwise)
+
+    @pytest.mark.parametrize("j", range(1, 14))
+    def test_heighway_is_the_paper_folding_unfolding(self, j):
+        assert heighway_trace(j) == heighway_points(j)
+
+    def test_mirrored_lattice_table_fails_both_oracles(self, monkeypatch):
+        mirrored = tuple((x, -y) for x, y in render._LATTICE_UNITS[90])
+        monkeypatch.setitem(render._LATTICE_UNITS, 90, mirrored)
+        assert trace(levy_turns(4).terms, 90).vertices != levy_vertices(4)
+        assert heighway_trace(4) != heighway_points(4)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import functools
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -203,27 +202,22 @@ class TestReconstructOddPart:
     def test_matches_division_oracle(self):
         assert reconstruct_odd_part(3000) == odd_parts_by_division(3000)
 
-    def test_length_beyond_memory_raises_before_allocating(self, report_physical_memory):
+    def test_length_beyond_memory_raises_before_allocating(self, report_physical_memory,
+                                                           traced_peak):
         report_physical_memory(2**16)  # 64 KiB, against 10 bytes a term
-        tracemalloc.start()
-        try:
+
+        def build():
             with pytest.raises(ValueError, match="an odd-part sequence of 200000 terms "
                                                  "would not fit in physical memory"):
                 reconstruct_odd_part(200000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, _, peak = traced_peak(build)
         assert peak < 10**5
 
-    def test_holds_4_bytes_a_term(self):
+    def test_holds_4_bytes_a_term(self, traced_peak):
         n = 10**5
         reconstruct_odd_part(2)  # warm up, so only the array is traced
-        tracemalloc.start()
-        try:
-            out = reconstruct_odd_part(n)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, held, peak = traced_peak(lambda: reconstruct_odd_part(n))
         assert out.typecode == "I" and out.itemsize == 4 and len(out) == n
         assert held <= 4 * n + 1000
         # The held array and, while it is placed, the first level's n / 2 odd numbers.

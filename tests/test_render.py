@@ -7,7 +7,6 @@ import math
 import os
 import random
 import sys
-import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -201,11 +200,6 @@ class TestTrace:
         for (x0, y0), (x1, y1) in zip(path.vertices, path.vertices[1:]):
             assert abs(math.hypot(x1 - x0, y1 - y0) - 1.0) < 1e-9
 
-    def test_lattice_mode_flags(self):
-        assert trace((0, 1), 90).lattice
-        assert trace((0, 1), 180).lattice
-        assert not trace((0, 1), 120).lattice
-
     def test_mod4_reduction_invariance_exact(self):
         terms = generate_dci(2, 2000).terms
         full = trace(terms, 90)
@@ -271,18 +265,23 @@ class TestToSvg:
         pts = svg.split('points="')[1].split('"')[0].split()
         assert len(pts) == len(path.vertices)
 
-    @pytest.mark.parametrize("lattice", [False, True])
-    def test_equal_coordinates_give_one_text(self, lattice):
-        # The formatter looks each coordinate's text up by value, so 0.0 and
-        # -0.0, or 1 and 1.0, share whichever text was made first.
-        xs = [-0.0, 0.0, 0, 2, -0.0, 3, 0.0, 2, -1, 0]
-        ys = [0.0, -0.0, 0, 0.0, 1, 0, 1, -0.0, 0, -0.0]
-        if not lattice:
-            xs[3:5], ys[4:7] = [2.0, -0.0], [1.0, 0, 1]
-        vertices = tuple(zip(xs, ys))
+    @pytest.mark.parametrize("vertices", [
+        # 0.0 and -0.0, or 1 and 1.0, share whichever text was made first.
+        tuple(zip([-0.0, 0.0, 0, 2, -0.0, 3, 0.0, 2, -1, 0],
+                  [0.0, -0.0, 0, 0.0, 1, 0, 1, -0.0, 0, -0.0])),
+        tuple(zip([-0.0, 0.0, 0, 2.0, -0.0, 3, 0.0, 2, -1, 0],
+                  [0.0, -0.0, 0, 0.0, 1.0, 0, 1, -0.0, 0, -0.0])),
+        # A non-integral float beside an int is not truncated to a whole number.
+        ((0, 0), (0.5, 0.25)),
+        ((0, 0), (1, 0.5), (-0.75, 2), (3, -1), (0.1, 0), (1, 1)),
+    ], ids=["ints-and-whole-floats", "whole-floats-and-ints", "int-and-halves", "mixed"])
+    def test_equal_coordinates_give_one_text(self, vertices):
+        # The formatter looks each coordinate's text up by value and formats
+        # it by its type, which gives the per-vertex "%.6f" text.
+        xs, ys = zip(*vertices)
         min_x, max_y = min(xs), max(ys)
         want = " ".join("%.6f,%.6f" % ((x - min_x) + 8, (max_y - y) + 8) for x, y in vertices)
-        svg = to_svg(PolylinePath(vertices, lattice))
+        svg = to_svg(PolylinePath(vertices))
         assert svg.split('points="')[1].split('"')[0] == want
 
 
@@ -377,8 +376,8 @@ class TestWriteSvg:
                              ids=["bytes", "list"])
     def test_rejects_walk_beyond_memory_before_writing(self, report_physical_memory,
                                                         terms, per_term):
-        # per_term bytes a term and 352 for each vertex of the chunk, and not a byte less.
-        need = per_term * 1000 + 352 * 1001
+        # per_term bytes a term and 832 for each vertex of the chunk, and not a byte less.
+        need = per_term * 1000 + 832 * 1001
         report_physical_memory(need - 1)
         out = io.StringIO()
         with pytest.raises(ValueError, match="a trace of 1000 terms would not fit"):
@@ -388,20 +387,19 @@ class TestWriteSvg:
         write_svg(terms, out)
         assert out.getvalue().endswith("</svg>\n")
 
-    def test_peak_memory_does_not_grow_with_the_walk(self):
+    def test_peak_memory_does_not_grow_with_the_walk(self, traced_peak):
         # v2 and random turns at 120 degrees: the memo holds no text past its chunk.
-        def peak(terms):
+        # v2 at 47.3 degrees meets a new heading at nearly every vertex: the
+        # unit-vector tables hold no more than about two chunks' headings.
+        def peak(terms, angle=120):
             with open(os.devnull, "w", encoding="utf-8") as out:
-                tracemalloc.start()
-                try:
-                    write_svg(terms, out, 120)
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                return traced_peak(lambda: write_svg(terms, out, angle))[2]
 
         assert peak(generate_dci(2, 4 * 10**5).terms) < 2 * peak(generate_dci(2, 10**5).terms)
         rng = random.Random(0)
         assert peak(rng.randbytes(4 * 10**5)) < 2 * peak(rng.randbytes(10**5))
+        assert (peak(generate_dci(2, 4 * 10**5).terms, 47.3)
+                < 2 * peak(generate_dci(2, 10**5).terms, 47.3))
 
 
 class TestRenderedDocuments:

@@ -4,7 +4,6 @@ import ast
 import inspect
 import math
 import os
-import tracemalloc
 from io import BytesIO
 from pathlib import Path
 
@@ -299,15 +298,15 @@ class TestLimits:
         with pytest.raises(ValueError, match="column store"):
             SieveTable(2**32)
 
-    def test_width_beyond_memory_raises_before_allocating(self, report_physical_memory):
+    def test_width_beyond_memory_raises_before_allocating(self, report_physical_memory,
+                                                           traced_peak):
         report_physical_memory(2**20)  # 1 MiB
-        tracemalloc.start()
-        try:
+
+        def build():
             with pytest.raises(ValueError, match="physical memory"):
                 SieveTable(10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, _, peak = traced_peak(build)
         assert peak < 10**5
         assert run_sieve(1000).prime_headers[-1] == 997  # 25 KB still fits
 
@@ -322,7 +321,7 @@ class TestLimits:
         assert 0 < calls.count("SC_PHYS_PAGES") <= 5
 
     @staticmethod
-    def written_and_peak(table):
+    def written_and_peak(table, traced_peak):
         """Bytes `write_table` writes to a counting sink, and its tracemalloc peak."""
 
         class Sink:
@@ -332,25 +331,20 @@ class TestLimits:
                 self.written += len(data)
 
         sink = Sink()
-        tracemalloc.start()
-        try:
-            bfile.write_table(table, sink)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(lambda: bfile.write_table(table, sink))
         return sink.written, peak
 
-    def test_table_text_is_written_a_row_at_a_time(self):
+    def test_table_text_is_written_a_row_at_a_time(self, traced_peak):
         # 25 MB of text from a 120 KB store, holding about one row and the header at a time.
         table = run_sieve(10**4)
-        written, peak = self.written_and_peak(table)
+        written, peak = self.written_and_peak(table, traced_peak)
         assert written == len(table_text(table)) > 20 * 2**20
         assert peak < 2**20
 
-    def test_header_is_written_in_blocks(self):
+    def test_header_is_written_in_blocks(self, traced_peak):
         # 0.59 MB of header text; the whole header as one join peaked at 6.8 MB.
         table = SieveTable(10**5)
-        written, peak = self.written_and_peak(table)
+        written, peak = self.written_and_peak(table, traced_peak)
         assert written == len(table_text(table)) == 588_896
         assert peak < 2**20
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -92,16 +90,16 @@ class TestGenerateDci:
             assert terms[p**j - 1] == j
             j += 1
 
-    def test_length_beyond_memory_raises_before_allocating(self, report_physical_memory):
+    def test_length_beyond_memory_raises_before_allocating(self, report_physical_memory,
+                                                           traced_peak):
         report_physical_memory(2**16)  # 64 KiB, against 3 bytes a term
-        tracemalloc.start()
-        try:
+
+        def build():
             with pytest.raises(ValueError, match="a valuation sequence of 200000 terms "
                                                  "would not fit in physical memory"):
                 generate_dci(2, 200000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, _, peak = traced_peak(build)
         assert peak < 10**5
 
     def test_lengths_below_2_to_the_16_are_not_checked(self, report_physical_memory):

@@ -12,7 +12,6 @@ import importlib.util
 import operator
 import re
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -126,16 +125,12 @@ class TestRejectedArguments:
 
 
 class TestMemory:
-    def test_fractal_holds_one_construction_at_a_time(self, report_physical_memory):
+    def test_fractal_holds_one_construction_at_a_time(self, report_physical_memory,
+                                                      traced_peak):
         # Every construction's own check passes in 999 424 bytes; holding the four
         # sequences with both odd-part columns would peak above it.
         report_physical_memory(999_424)
-        tracemalloc.start()
-        try:
-            reports = verify_mod.verify_fractal(90_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        reports, _, peak = traced_peak(lambda: verify_mod.verify_fractal(90_000))
         assert [r.name for r in reports if not r.passed] == []
         assert peak < 999_424
 

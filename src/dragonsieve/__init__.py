@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 # Each public name and the submodule that defines it.
 _SUBMODULE = {
     "CheckReport": "verify",
-    "Factorization": "sieve",
     "Failure": "verify",
     "PolylinePath": "render",
     "SieveTable": "sieve",

@@ -144,12 +144,12 @@ def parse_b_file(lines: Iterable[str], first: int | None = None) -> bytes | list
     one byte a term, unless a value lies outside 0..255; from the first
     such value on they are collected in a list.
 
-    `_parse_lines` defines what is accepted and every message.  It reads the
-    lines up to the first term line, and all lines once the terms are a
-    list.  In between the lines are taken in the writer's blocks, up to
-    the next index that is a multiple of 1000, and a block is accepted
-    whole when it is the canonical text of byte terms (see
-    `_canonical_terms`); any other block is read by `_parse_lines`.
+    `_parse_lines` defines what is accepted and every message.  The lines
+    are taken one at a time up to the first term line, then in the
+    writer's blocks, up to the next index that is a multiple of 1000, and
+    a block is accepted whole when it is the canonical text of byte terms
+    (see `_canonical_terms`); any other block, and every line once the
+    terms are a list, is read by `_parse_lines`.
     Blocks of 1000 lines hold less at once than blocks of 4000, which
     raised the peak RSS of `render --from-file` by about 0.1 MB, and
     parse as fast.
@@ -158,18 +158,11 @@ def parse_b_file(lines: Iterable[str], first: int | None = None) -> bytes | list
     terms: bytearray | list[int] = bytearray()
     expected = None
     number = 0
-    for line in lines:
-        terms, expected = _parse_lines((line,), number, terms, expected, first)
-        number += 1
-        if expected is not None:
-            break
-    else:
-        return b""  # no term line
     while isinstance(terms, bytearray) and (
-            block := list(islice(lines, 1000 - expected % 1000))):
-        values = _canonical_terms(block, expected)
+            block := list(islice(lines, 1 if expected is None else 1000 - expected % 1000))):
+        values = None if expected is None else _canonical_terms(block, expected)
         if values is None:
-            terms, expected = _parse_lines(block, number, terms, expected)
+            terms, expected = _parse_lines(block, number, terms, expected, first)
         else:
             terms += values
             expected += len(values)

@@ -73,8 +73,7 @@ def _cmd_factor(args) -> int:
     # At width 1 an n below 1 is refused by name, not as a width never given.
     limit = args.limit if args.limit is not None else max(args.n, 1)
     table = run_sieve(limit)
-    fact = read_factorization(table, args.n)
-    sys.stdout.write(json.dumps({"n": fact.n, "factors": [list(f) for f in fact.factors]}))
+    sys.stdout.write(json.dumps({"n": args.n, "factors": read_factorization(table, args.n)}))
     sys.stdout.write("\n")
     return 0
 

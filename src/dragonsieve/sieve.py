@@ -18,11 +18,9 @@ never stored.  The module holds no text: `bfile` writes the table.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import compress, starmap
+from itertools import compress
 from typing import Iterator
 
 from .limits import require_memory
@@ -41,17 +39,6 @@ _MAX_PRIME = (1 << 8 * array(_PRIME).itemsize) - 1
 _BYTES_PER_COLUMN = 12
 # Entry 0 (a column no row reaches) to 1, every other entry to 0.
 _ZERO_TO_ONE = b"\x01" + bytes(255)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Ordered (prime, exponent) pairs read out of one table column."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        return math.prod(starmap(pow, self.factors))
 
 
 class SieveTable:
@@ -140,11 +127,12 @@ def run_sieve(m: int) -> SieveTable:
     return table
 
 
-def read_factorization(table: SieveTable, n: int) -> Factorization:
-    """Factor n by following its column's links: largest prime first, then reversed.
+def read_factorization(table: SieveTable, n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n into (prime, exponent) pairs, primes ascending, () for 1.
 
-    A chain that ends at a column h > 1 no row reaches ends at n's one prime
-    factor above sqrt(m), which comes first, with exponent 1.
+    n's column's links give them largest prime first, then they are
+    reversed.  A chain that ends at a column h > 1 no row reaches ends at
+    n's one prime factor above sqrt(m), which comes first, with exponent 1.
     """
     if n < 1 or n > table.m:
         raise ValueError(f"n must be within 1..{table.m}, got {n}")
@@ -159,5 +147,5 @@ def read_factorization(table: SieveTable, n: int) -> Factorization:
             h = rest[h]
     if h > 1:
         factors.insert(0, (h, 1))
-    return Factorization(n, tuple(reversed(factors)))
+    return tuple(reversed(factors))
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
-from itertools import pairwise, repeat, zip_longest
+from dataclasses import dataclass
+from itertools import pairwise, repeat, starmap, zip_longest
 from typing import Callable, Iterable
 
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
 from .render import reduce_mod, trace
-from .sieve import Factorization, read_factorization, run_sieve
+from .sieve import read_factorization, run_sieve
 from .valuations import (
     generate_dci,
     odd_parts_by_division,
@@ -45,8 +45,8 @@ class CheckReport:
 
     name: str
     cases: int
-    failures: list[Failure] = field(default_factory=list)
-    wall_time: float = 0.0
+    failures: list[Failure]
+    wall_time: float
 
     @property
     def passed(self) -> bool:
@@ -106,8 +106,8 @@ def verify_sieve(limit: int) -> list[CheckReport]:
         _run("factorization-reconstructs-n", limit - 1,
              lambda: _first_mismatch(
                  range(2, limit + 1),
-                 map(Factorization.value,
-                     map(read_factorization, repeat(table), range(2, limit + 1))),
+                 map(math.prod, map(starmap, repeat(pow),
+                                    map(read_factorization, repeat(table), range(2, limit + 1)))),
                  start=2)),
     ]
 

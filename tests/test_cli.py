@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import inspect
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from itertools import starmap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dragonsieve import format_b_file, levy_turns, verify
+from dragonsieve import format_b_file, levy_turns, primes_by_trial_division, verify
 from dragonsieve.cli import SUITES, build_parser, main
 from dragonsieve.valuations import valuations_by_division
 
@@ -98,6 +104,31 @@ class TestFactorCommand:
         monkeypatch.setattr("dragonsieve.sieve.run_sieve", run_sieve)
         with pytest.raises(fault, match="planted"):
             main(["factor", "24"])
+
+    @given(data=st.data(), limit=st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=100, deadline=None)
+    def test_contract(self, data, limit):
+        # n in 1..L prints n's factorization as one JSON line; any other n is
+        # refused with one error line and nothing on stdout.
+        n = data.draw(st.integers(min_value=-5, max_value=limit + 5))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["factor", str(n), "--limit", str(limit)])
+        out, err = out.getvalue(), err.getvalue()
+        if not 1 <= n <= limit:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+            return
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and out.count("\n") == 1
+        got = json.loads(out)
+        assert got.keys() == {"n", "factors"} and got["n"] == n
+        pairs = got["factors"]
+        ps = [p for p, _ in pairs]
+        assert all(a < b for a, b in zip(ps, ps[1:]))
+        assert set(primes_by_trial_division(limit)).issuperset(ps)
+        assert all(e >= 1 for _, e in pairs)
+        assert math.prod(starmap(pow, pairs)) == n
 
 
 class TestSequenceCommands:

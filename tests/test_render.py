@@ -22,6 +22,7 @@ from dragonsieve import (
     trace,
     write_svg,
 )
+from dragonsieve import render
 from dragonsieve.cli import main
 from dragonsieve.render import CHUNK, PolylinePath, reduce_mod
 
@@ -387,19 +388,23 @@ class TestWriteSvg:
         write_svg(terms, out)
         assert out.getvalue().endswith("</svg>\n")
 
-    def test_peak_memory_does_not_grow_with_the_walk(self, traced_peak):
+    def test_peak_memory_does_not_grow_with_the_walk(self, traced_peak, monkeypatch):
         # v2 and random turns at 120 degrees: the memo holds no text past its chunk.
         # v2 at 47.3 degrees meets a new heading at nearly every vertex: the
         # unit-vector tables hold no more than about two chunks' headings.
+        # At an eighth of CHUNK, an eighth of the terms spans as many chunks.
+        monkeypatch.setattr(render, "CHUNK", CHUNK // 8)
+        short, long = 10**5 // 8, 4 * 10**5 // 8
+
         def peak(terms, angle=120):
             with open(os.devnull, "w", encoding="utf-8") as out:
                 return traced_peak(lambda: write_svg(terms, out, angle))[2]
 
-        assert peak(generate_dci(2, 4 * 10**5).terms) < 2 * peak(generate_dci(2, 10**5).terms)
+        assert peak(generate_dci(2, long).terms) < 2 * peak(generate_dci(2, short).terms)
         rng = random.Random(0)
-        assert peak(rng.randbytes(4 * 10**5)) < 2 * peak(rng.randbytes(10**5))
-        assert (peak(generate_dci(2, 4 * 10**5).terms, 47.3)
-                < 2 * peak(generate_dci(2, 10**5).terms, 47.3))
+        assert peak(rng.randbytes(long)) < 2 * peak(rng.randbytes(short))
+        assert (peak(generate_dci(2, long).terms, 47.3)
+                < 2 * peak(generate_dci(2, short).terms, 47.3))
 
 
 class TestRenderedDocuments:

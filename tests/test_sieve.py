@@ -5,6 +5,7 @@ import inspect
 import math
 import os
 from io import BytesIO
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -76,7 +77,7 @@ class TestRunSieve:
             table = run_sieve(m)
             assert table.prime_headers == list(rows)
             for n in range(1, m + 1):
-                assert read_factorization(table, n).factors == literal_factors(rows, n)
+                assert read_factorization(table, n) == literal_factors(rows, n)
 
     def test_78498_primes_below_10_6(self):
         assert len(run_sieve(10**6).prime_headers) == 78498
@@ -91,20 +92,20 @@ class TestRunSieve:
         # The scan starts at 2, steps from 2 and 3 to 5, and ends past m.
         table = run_sieve(m)
         assert table.prime_headers == primes_by_trial_division(m)
-        assert all(read_factorization(table, n).factors for n in range(2, m + 1))
+        assert all(read_factorization(table, n) for n in range(2, m + 1))
         assert literal_next({p: table.row(p).terms for p in table.prime_headers}, m) is None
 
 
 class TestReadFactorization:
     def test_24(self):
         table = run_sieve(24)
-        assert read_factorization(table, 24).factors == ((2, 3), (3, 1))
+        assert read_factorization(table, 24) == ((2, 3), (3, 1))
 
     def test_1_is_empty(self):
-        assert read_factorization(run_sieve(10), 1).factors == ()
+        assert read_factorization(run_sieve(10), 1) == ()
 
     def test_97_is_prime(self):
-        assert read_factorization(run_sieve(100), 97).factors == ((97, 1),)
+        assert read_factorization(run_sieve(100), 97) == ((97, 1),)
 
     def test_rejects_out_of_range(self):
         table = run_sieve(10)
@@ -116,11 +117,11 @@ class TestReadFactorization:
     def test_reconstruction_up_to_2000(self):
         table = run_sieve(2000)
         for n in range(2, 2001):
-            fact = read_factorization(table, n)
-            assert fact.value() == n
-            ps = [p for p, _ in fact.factors]
+            pairs = read_factorization(table, n)
+            assert math.prod(starmap(pow, pairs)) == n
+            ps = [p for p, _ in pairs]
             assert ps == sorted(ps)
-            assert all(e >= 1 for _, e in fact.factors)
+            assert all(e >= 1 for _, e in pairs)
 
     def test_composite_marking(self):
         # After the row for p is placed, column h is positive in it iff p | h.
@@ -128,19 +129,19 @@ class TestReadFactorization:
         table.place_row(2, generate_dci(2, 60))
         table.place_row(3, generate_dci(3, 60))
         for h in range(1, 61):
-            entries = dict(read_factorization(table, h).factors) if h >= 1 else {}
+            entries = dict(read_factorization(table, h)) if h >= 1 else {}
             assert (3 in entries) == (h % 3 == 0)
             assert (2 in entries) == (h % 2 == 0)
 
     @staticmethod
-    def assert_unique_factorization(fact, n, primes):
+    def assert_unique_factorization(pairs, n, primes):
         """The conditions that fix n's factorization: its product is n, its primes
         strictly increase and are trial-division primes, and no exponent is 0."""
-        assert fact.n == n and fact.value() == n
-        ps = [p for p, _ in fact.factors]
+        assert math.prod(starmap(pow, pairs)) == n
+        ps = [p for p, _ in pairs]
         assert all(a < b for a, b in zip(ps, ps[1:]))
         assert primes.issuperset(ps)
-        assert all(e >= 1 for _, e in fact.factors)
+        assert all(e >= 1 for _, e in pairs)
 
     def test_exact_up_to_20000(self):
         table = run_sieve(20000)
@@ -209,8 +210,8 @@ class TestUnreachedColumns:
         monkeypatch.setattr(SieveTable, "_unreached_primes",
                             lambda table: pytest.fail("listed the unreached columns"))
         table = run_sieve(10**4)
-        assert read_factorization(table, 9973).factors == ((9973, 1),)
-        assert read_factorization(table, 2 * 4999).factors == ((2, 1), (4999, 1))
+        assert read_factorization(table, 9973) == ((9973, 1),)
+        assert read_factorization(table, 2 * 4999) == ((2, 1), (4999, 1))
         assert table.row(9973).terms == generate_dci(9973, 10**4).terms
 
 
@@ -248,8 +249,8 @@ class TestPlaceRow:
         table = SieveTable(10)
         table.place_row(2, generate_dci(2, 5))
         table.place_row(3, generate_dci(3, 3))
-        assert read_factorization(table, 6).factors == ((2, 1), (3, 1))
-        assert read_factorization(table, 8).factors == ((2, 3),)
+        assert read_factorization(table, 6) == ((2, 1), (3, 1))
+        assert read_factorization(table, 8) == ((2, 3),)
 
     def test_rejects_row_shorter_than_multiples(self):
         with pytest.raises(ValueError):
@@ -272,14 +273,14 @@ class TestPlaceRow:
             table.place_row(65_537, generate_dci(65_537, 1))
         # Nothing was placed: the column is still unreached, read as a prime.
         assert table.prime_headers == []
-        assert read_factorization(table, 65_537).factors == ((65_537, 1),)
+        assert read_factorization(table, 65_537) == ((65_537, 1),)
 
     def test_unit_row_is_the_generated_row(self):
         table = SieveTable(30)
         for p in (2, 3, 5):
             table.place_row(p, generate_dci(p, 30))
         table.place_unit_row(7)
-        assert read_factorization(table, 28).factors == ((2, 2), (7, 1))
+        assert read_factorization(table, 28) == ((2, 2), (7, 1))
         assert table.row(7).terms == generate_dci(7, 30).terms
 
 

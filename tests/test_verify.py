@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import dragonsieve.verify as verify_mod
 from dragonsieve import (
-    Factorization,
     Failure,
     ValuationSequence,
     generate_dci,
@@ -267,8 +266,7 @@ class TestPlantedSieveDefect:
     def test_chain_end_factor_dropped(self, capsys, monkeypatch):
         # 37, the first n with a prime factor above sqrt(1000), reads as the empty product.
         def dropping(table, n):
-            fact = read_factorization(table, n)
-            return Factorization(n, tuple((p, e) for p, e in fact.factors if p * p <= table.m))
+            return tuple((p, e) for p, e in read_factorization(table, n) if p * p <= table.m)
 
         monkeypatch.setattr(verify_mod, "read_factorization", dropping)
         assert self.sieve_lines(capsys) == [

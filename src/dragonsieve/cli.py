@@ -81,14 +81,13 @@ def _cmd_factor(args) -> int:
 def _cmd_decimate(args) -> int:
     from .bfile import write_rows
     from .fractal import decimate_terms
-    from .limits import require_memory
+    from .limits import BYTES_PER, require_memory
     from .valuations import generate_dci
 
     if args.levels < 0:
         raise ValueError(f"levels must be non-negative, got {args.levels}")
-    # Every row and its text: 12 bytes a term, above the RSS growth measured
-    # for p = 2 with 1 and 3 levels (11.2 at 10^6 terms, 11.7 at 10^7).
-    require_memory(f"decimated rows of {args.limit} terms", 12 * args.limit)
+    require_memory(f"decimated rows of {args.limit} terms",
+                   BYTES_PER["decimated term"] * args.limit)
     current = generate_dci(args.p, args.limit).terms
     rows = [("Original", current)]
     for level in range(args.levels):
@@ -262,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # its text is empty
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 2
 
 

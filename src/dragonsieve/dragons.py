@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .limits import require_memory
+from .limits import BYTES_PER, require_memory
 from .valuations import PLUS_ONE
-
-# Peak RSS growth per term, an upper bound: the last round's buffers and the
-# bytes of ``terms``, measured 2.0-2.1 (Levy) and 2.9-3.0 (Heighway) at 10^6
-# and 8 * 10^6 terms.  Shift counts cap at 64, past any memory.
-_BYTES_PER_TERM = 10
 
 
 @dataclass(frozen=True)
@@ -35,8 +30,9 @@ def levy_turns(iterations: int) -> TurnSequence:
     """
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
+    # The shift count caps at 64, here and in `heighway_turns`: past any memory.
     require_memory(f"a Levy dragon of {iterations} iterations",
-                   _BYTES_PER_TERM << min(iterations + 1, 64))
+                   BYTES_PER["dragon term"] << min(iterations + 1, 64))
     seq = b"\x03"
     for _ in range(iterations):
         out = bytearray(b"\x03") * (2 * len(seq) + 1)
@@ -56,7 +52,7 @@ def heighway_turns(iterations: int) -> TurnSequence:
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
     require_memory(f"a Heighway dragon of {iterations} iterations",
-                   _BYTES_PER_TERM << min(iterations, 64))
+                   BYTES_PER["dragon term"] << min(iterations, 64))
     seq = bytes(2)
     for _ in range(iterations):
         n = len(seq)

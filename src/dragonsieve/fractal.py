@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from typing import Sequence
 
-from .limits import require_memory
+from .limits import BYTES_PER, require_memory
 
 
 def decimate_terms(terms: Sequence[int], p: int) -> Sequence[int]:
@@ -32,9 +32,8 @@ def reconstruct_odd_part(max_index: int) -> array:
     """
     if max_index < 1:
         raise ValueError(f"max_index must be positive, got {max_index}")
-    # 10 bytes a term of peak RSS growth for `oddpart`, which writes the array
-    # (about 74 MB at 10^7 terms, with or without `--mod4`).
-    require_memory(f"an odd-part sequence of {max_index} terms", 10 * max_index)
+    require_memory(f"an odd-part sequence of {max_index} terms",
+                   BYTES_PER["odd-part term"] * max_index)
     out = array("I", [0]) * max_index
     step = 1  # 2**j
     while step <= max_index:

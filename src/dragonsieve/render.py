@@ -38,7 +38,7 @@ from itertools import accumulate, chain, islice, repeat, starmap
 from operator import mod, neg
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .limits import require_memory
+from .limits import BYTES_PER, require_memory
 
 CCW_COUNT = "ccw-count"
 CATEGORICAL_MOD4 = "categorical-mod4"
@@ -48,12 +48,6 @@ _CATEGORICAL_UNITS = {0: -1, 1: 0, 2: 1, 3: 2}
 
 # Exact unit vectors, by heading, at the angles whose walk stays on the lattice.
 _LATTICE_UNITS = {90: ((1, 0), (0, 1), (-1, 0), (0, -1)), 180: ((1, 0), (-1, 0))}
-
-# Peak bytes per term of `trace` plus `to_svg` (the vertex tuples, one chunk
-# of columns and the document text), an upper bound on the RSS growth
-# measured at 158-195 for 10^5 and 10^6 terms at 90, 120 and 72 degrees
-# (Python 3.11, x86-64).
-_BYTES_PER_TERM = 264
 
 # Vertices read or formatted at a time by `write_svg`.
 CHUNK = 1 << 13
@@ -84,7 +78,7 @@ def trace(
     +x.  Move first, then turn: term n is the turn applied at arrival point n.
     """
     _check_walk(terms, angle, mapping)
-    require_memory(f"a trace of {len(terms)} terms", _BYTES_PER_TERM * len(terms))
+    require_memory(f"a trace of {len(terms)} terms", BYTES_PER["trace term"] * len(terms))
     columns = _walk(terms, Fraction(angle), mapping, clockwise)
     return PolylinePath(tuple(chain.from_iterable(starmap(zip, columns))))
 
@@ -116,18 +110,9 @@ def check_svg(terms: Sequence[int], angle: float | int | Fraction, mapping: str,
     """Raise ValueError unless `write_svg` takes these arguments and fits in memory."""
     _check_walk(terms, angle, mapping)
     _check_stroke_width(stroke_width)
-    # Peak RSS growth of `render` per term, the terms' construction or parse
-    # included, as bytes or as a list of ints (up to 8.5 and 46.2 measured at
-    # 10^5 and 10^6 terms, with `--mod`), and per vertex of the chunk held
-    # with its texts and up to two chunks' unit-vector table entries (185-262
-    # under tracemalloc at 10^5 and 4*10^5 terms at 72, 90 and 120 degrees,
-    # 588-595 at 47.3 and 90.1, where nearly every heading is new; the
-    # largest RSS growth of `render --from-file` of 10^5 terms at such an
-    # angle is 7.20 MiB for bytes and 10.47 MiB for a list of ints, against
-    # the 7.45 and 11.08 MiB this allows).
-    per_term = 10 if isinstance(terms, (bytes, bytearray)) else 48
-    require_memory(f"a trace of {len(terms)} terms",
-                   per_term * len(terms) + 832 * min(len(terms) + 1, CHUNK))
+    held = "svg byte term" if isinstance(terms, (bytes, bytearray)) else "svg list term"
+    require_memory(f"a trace of {len(terms)} terms", BYTES_PER[held] * len(terms)
+                   + BYTES_PER["svg chunk vertex"] * min(len(terms) + 1, CHUNK))
 
 
 def _check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: str) -> None:

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from itertools import compress
 from typing import Iterator
 
-from .limits import require_memory
+from .limits import BYTES_PER, require_memory
 from .valuations import PLUS_ONE, ValuationSequence, generate_dci
 
 _LINK = "I"  # typecode of ``rest``, which holds values up to m
@@ -32,11 +32,6 @@ _MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
 # sqrt(_MAX_WIDTH) < 2^16, and `place_row` refuses one above _MAX_PRIME.
 _PRIME = "H"
 _MAX_PRIME = (1 << 8 * array(_PRIME).itemsize) - 1
-# Peak RSS growth per column of run_sieve, measured 11.5-11.6 at m = 10^6 and
-# 10^7: the store (7), the multipliers (2), row 2 as bytes with its translated
-# copy (about 1.5) and its ``top`` entries (1).  Listing the primes above
-# sqrt(m) is the caller's: `prime_headers` adds 36 bytes a prime (about 2).
-_BYTES_PER_COLUMN = 12
 # Entry 0 (a column no row reaches) to 1, every other entry to 0.
 _ZERO_TO_ONE = b"\x01" + bytes(255)
 
@@ -52,7 +47,7 @@ class SieveTable:
             raise ValueError(f"table width must be at least 1, got {m}")
         if m > _MAX_WIDTH:
             raise ValueError(f"table width {m} exceeds the column store's limit {_MAX_WIDTH}")
-        require_memory(f"a sieve table of width {m}", _BYTES_PER_COLUMN * m)
+        require_memory(f"a sieve table of width {m}", BYTES_PER["sieve column"] * m)
         self.m = m
         self._primes = array(_LINK)  # the placed rows' primes
         # Where the columns above the last row start, all unreached ones

@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import and_, floordiv, mod, neg
 from typing import Iterator
 
-from .limits import require_memory
+from .limits import BYTES_PER, require_memory
 
 # bytes.translate table adding 1 to a term; terms stay far below 255.
 PLUS_ONE = bytes(range(1, 256)) + b"\xff"
@@ -59,12 +59,11 @@ def generate_dci(p: int, m: int) -> ValuationSequence:
         raise ValueError(f"base must be at least 2, got {p}")
     if m < 1:
         raise ValueError(f"length must be at least 1, got {m}")
-    # 3 bytes a term of peak RSS growth (`seq --p 2`: 2.6 at 10^6 terms), checked
-    # from 2^16 terms: a shorter sequence needs under 192 KiB, a check on each
-    # sieve row added 0.1 s to a 0.6 s sieve of width 10^6, and the table's own
-    # check covers the rows.
+    # Checked from 2^16 terms: a shorter sequence needs under 256 KiB, a check on
+    # each sieve row added 0.1 s to a 0.6 s sieve of width 10^6, and the table's
+    # own check covers the rows.
     if m >= 1 << 16:
-        require_memory(f"a valuation sequence of {m} terms", 3 * m)
+        require_memory(f"a valuation sequence of {m} terms", BYTES_PER["valuation term"] * m)
     seq = bytearray(1)
     while len(seq) * p <= m:
         seq *= p  # p-1 copies appended end-to-end

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from itertools import starmap
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from dragonsieve import format_b_file, levy_turns, primes_by_trial_division, verify
 from dragonsieve.cli import SUITES, build_parser, main
+from dragonsieve.limits import BYTES_PER
 from dragonsieve.valuations import valuations_by_division
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,7 +45,7 @@ class TestSieveCommand:
 
 
     def test_table_text_needs_memory_for_the_store_only(self, capsys, report_physical_memory):
-        # The width-1000 store (12 KB) fits in 512 KiB and its 340 KB of text streams;
+        # The width-1000 store fits in 512 KiB and its 340 KB of text streams;
         # 8 KiB holds no store.
         _, want, _ = run(capsys, "sieve", "--limit", "1000")
         report_physical_memory(2**19)
@@ -144,7 +146,7 @@ class TestSequenceCommands:
 
     @pytest.mark.parametrize("command", ["levy", "heighway"])
     def test_30_iterations_exceed_8_gib(self, capsys, report_physical_memory, command):
-        # 2**31 Levy or 2**30 Heighway terms at 24 bytes each; refused up front.
+        # 2**31 Levy or 2**30 Heighway terms, a dragon term's bytes each; refused up front.
         report_physical_memory(8 * 2**30)
         code, out, err = run(capsys, command, "--iterations", "30")
         assert (code, out) == (2, "")
@@ -264,15 +266,16 @@ class TestRenderCommand:
         assert err == ("error: b-file line 1: first index 0, "
                        "but render reads b-files from index 1\n")
 
-    @pytest.mark.parametrize("head,per_term", [(0, 10), (256, 48)], ids=["bytes", "list"])
+    @pytest.mark.parametrize("head,held", [(0, "svg byte term"), (256, "svg list term")],
+                             ids=["bytes", "list"])
     def test_from_file_guard_charges_what_the_parse_holds(self, capsys, tmp_path,
-                                                          report_physical_memory, head, per_term):
-        # A term of 256 makes the parse a list of ints.  10^4 terms need per_term bytes each
-        # plus the SVG writer's chunk, 832 bytes for each of 8192 vertices, and not a byte less.
+                                                          report_physical_memory, head, held):
+        # A term of 256 makes the parse a list of ints.  10^4 terms need the bytes each is
+        # held in, plus a chunk vertex's bytes for each of 8192 vertices, and not a byte less.
         src = tmp_path / "terms.bfile"
         src.write_text(format_b_file([head] + [1] * 9999))
         argv = ("render", "--from-file", str(src), "-o", str(tmp_path / "x.svg"))
-        need = per_term * 10**4 + 832 * 8192
+        need = BYTES_PER[held] * 10**4 + BYTES_PER["svg chunk vertex"] * 8192
         page = os.sysconf("SC_PAGE_SIZE")
         report_physical_memory(need - 1)
         code, out, err = run(capsys, *argv)
@@ -420,26 +423,38 @@ class TestSequenceSizeGuards:
         assert not (tmp_path / "sub").exists()
 
 
+def start(*argv, **popen_args):
+    """Start the CLI in a child process, its stdout and stderr piped to this one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    return subprocess.Popen([sys.executable, "-m", "dragonsieve.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen_args)
+
+
 class TestClosedStdout:
     """A reader that closes stdout early, as `head` does, ends the command silently with 141."""
 
-    @staticmethod
-    def start(*argv):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-        return subprocess.Popen([sys.executable, "-m", "dragonsieve.cli", *argv], env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-
     def test_pipe_closed_after_the_first_line(self):
         # 14 MB of text: the writes fill the pipe long before the last one.
-        proc = self.start("seq", "--p", "2", "--limit", str(10**6))
+        proc = start("seq", "--p", "2", "--limit", str(10**6))
         assert proc.stdout.readline() == b"1 0\n"
         proc.stdout.close()
         assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
 
     def test_pipe_closed_before_the_output(self):
         # The JSON line stays in the buffer until `main` flushes it.
-        proc = self.start("factor", "24")
+        proc = start("factor", "24")
         proc.stdout.close()
         assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+
+
+def test_memory_error_is_usage_error():
+    # 10^9 terms pass the physical-memory check, but not 600 MB of address space,
+    # which binds the child only: the allocation fails, not the check.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 10**6, 600 * 10**6))
+
+    proc = start("seq", "--p", "2", "--limit", str(10**9), preexec_fn=limit_address_space)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (2, b"", b"error: seq ran out of memory\n")

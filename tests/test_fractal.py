@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from dragonsieve import (
     generate_dci,
     reconstruct_odd_part,
 )
+from dragonsieve.limits import BYTES_PER
 from dragonsieve.valuations import odd_parts_by_division, valuations_by_division
 from dragonsieve.verify import FRACTAL_PRIMES
 
@@ -204,7 +206,8 @@ class TestReconstructOddPart:
 
     def test_length_beyond_memory_raises_before_allocating(self, report_physical_memory,
                                                            traced_peak):
-        report_physical_memory(2**16)  # 64 KiB, against 10 bytes a term
+        need = BYTES_PER["odd-part term"] * 200000
+        report_physical_memory(need - 1)
 
         def build():
             with pytest.raises(ValueError, match="an odd-part sequence of 200000 terms "
@@ -213,6 +216,8 @@ class TestReconstructOddPart:
 
         _, _, peak = traced_peak(build)
         assert peak < 10**5
+        report_physical_memory(need + os.sysconf("SC_PAGE_SIZE"))
+        assert len(reconstruct_odd_part(200000)) == 200000
 
     def test_holds_4_bytes_a_term(self, traced_peak):
         n = 10**5

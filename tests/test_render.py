@@ -24,6 +24,7 @@ from dragonsieve import (
 )
 from dragonsieve import render
 from dragonsieve.cli import main
+from dragonsieve.limits import BYTES_PER
 from dragonsieve.render import CHUNK, PolylinePath, reduce_mod
 
 # CCW quarter-turn rotation applied h times, for lattice normalization.
@@ -373,12 +374,13 @@ class TestWriteSvg:
         with pytest.raises(ValueError, match=match):
             to_svg(trace((0, 1)), stroke_width=stroke_width)
 
-    @pytest.mark.parametrize("terms,per_term", [(bytes(1000), 10), ([0] * 1000, 48)],
-                             ids=["bytes", "list"])
+    @pytest.mark.parametrize("terms,held", [(bytes(1000), "svg byte term"),
+                                            ([0] * 1000, "svg list term")], ids=["bytes", "list"])
     def test_rejects_walk_beyond_memory_before_writing(self, report_physical_memory,
-                                                        terms, per_term):
-        # per_term bytes a term and 832 for each vertex of the chunk, and not a byte less.
-        need = per_term * 1000 + 832 * 1001
+                                                        terms, held):
+        # The bytes each term is held in and a chunk vertex's bytes for each vertex of the
+        # chunk, and not a byte less.
+        need = BYTES_PER[held] * 1000 + BYTES_PER["svg chunk vertex"] * 1001
         report_physical_memory(need - 1)
         out = io.StringIO()
         with pytest.raises(ValueError, match="a trace of 1000 terms would not fit"):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from dragonsieve import (
     levy_turns,
     primes_by_trial_division,
 )
+from dragonsieve.limits import BYTES_PER
 from dragonsieve.valuations import (
     odd_parts_by_division,
     odd_parts_mod4_by_division,
@@ -92,7 +95,8 @@ class TestGenerateDci:
 
     def test_length_beyond_memory_raises_before_allocating(self, report_physical_memory,
                                                            traced_peak):
-        report_physical_memory(2**16)  # 64 KiB, against 3 bytes a term
+        need = BYTES_PER["valuation term"] * 200000
+        report_physical_memory(need - 1)
 
         def build():
             with pytest.raises(ValueError, match="a valuation sequence of 200000 terms "
@@ -101,9 +105,11 @@ class TestGenerateDci:
 
         _, _, peak = traced_peak(build)
         assert peak < 10**5
+        report_physical_memory(need + os.sysconf("SC_PAGE_SIZE"))
+        assert len(generate_dci(2, 200000).terms) == 200000
 
     def test_lengths_below_2_to_the_16_are_not_checked(self, report_physical_memory):
-        # Under 192 KiB, so the sieve's many short rows skip the check.
+        # Under 256 KiB, so the sieve's many short rows skip the check.
         report_physical_memory(2**13)
         assert len(generate_dci(2, 2**16 - 1).terms) == 2**16 - 1
         with pytest.raises(ValueError, match="physical memory"):

@@ -9,12 +9,12 @@ import os
 
 BYTES_PER = {
     "valuation term": 4,  # generate_dci: the terms, the last round's copy and seq's writer
-    "sieve column": 12,  # SieveTable: the store, the multipliers and row 2; not prime_headers
+    "sieve column": 9,  # SieveTable: the store and row 2's DCI terms; not prime_headers
     "dragon term": 10,  # levy_turns, heighway_turns: the last round's buffers and the terms
     "odd-part term": 10,  # reconstruct_odd_part: the array and the first level's odd numbers
     "trace term": 264,  # trace: the vertex tuples, a chunk of columns and to_svg's text
     "svg byte term": 10,  # check_svg: a term held as bytes, its construction or parse included
-    "svg list term": 48,  # check_svg: a term held in a list of ints, its parse included
+    "svg list term": 50,  # check_svg: a term held in a list of ints, its parse included
     "svg chunk vertex": 1024,  # check_svg: a vertex of write_svg's chunk, texts and unit vectors
     "decimated term": 12,  # the decimate command: every row and its text
 }

@@ -9,15 +9,19 @@ only when asked (`prime_headers`), in one pass by a `translate` and a
 columns set by stepped slices: ``exp`` (the entry; 0 marks a column no row
 reaches), ``top`` (the largest placed prime, below 2^16) and ``rest`` (k, a
 link to column h/p, read down to 1, or to n's one prime factor above
-sqrt(m), to factor).  Each row's terms go in as bytes: ``exp`` takes a
-translated slice of them and ``rest`` a slice of one multiplier array 0..K
-built with the table.  The one division is CPython's, to find the length of
-a stepped slice or ``range``; nothing in this module divides.  Full rows are
-never stored.  The module holds no text: `bfile` writes the table.
+sqrt(m), to factor).  A row is placed one window of 2^16 multipliers at a
+time, so that nothing but its terms and the three columns grows with m:
+``exp`` takes a translated slice of the terms, ``top`` a slice of one fill
+of p, and ``rest`` the window's multipliers, one array 0..2^16-1 held by
+the table, whose high 16-bit halves are set to the window's index.  The one
+division is CPython's, to find the length of a stepped slice or ``range``;
+nothing in this module divides.  Full rows are never stored.  The module
+holds no text: `bfile` writes the table.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from itertools import compress
@@ -34,6 +38,10 @@ _PRIME = "H"
 _MAX_PRIME = (1 << 8 * array(_PRIME).itemsize) - 1
 # Entry 0 (a column no row reaches) to 1, every other entry to 0.
 _ZERO_TO_ONE = b"\x01" + bytes(255)
+# Multipliers placed at a time: those of one window share their high 16 bits.
+_WINDOW = 1 << 16
+# Where a multiplier's bits 0-7, 8-15, 16-23 and 24-31 lie in its four bytes.
+_BYTE = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
 
 
 class SieveTable:
@@ -56,8 +64,16 @@ class SieveTable:
         self._exp = bytearray(m + 1)
         self._top = array(_PRIME, [0]) * (m + 1)
         self._rest = array(_LINK, [0]) * (m + 1)
-        # Multipliers 0..K for the largest K, p = 2's; sized by a range, not m // 2.
-        self._ks = array(_LINK, range(len(range(2, m + 1, 2)) + 1))
+        # One window of multipliers, 0..2^16-1 or, if p = 2's row is shorter,
+        # 0..K for its K (sized by a range, not m // 2), and the window's bytes,
+        # in which `place_row` sets the high halves.  The low halves are set a
+        # byte plane at a time: an array of a range makes an int per multiplier.
+        width = min(_WINDOW, len(range(2, m + 1, 2)) + 1)
+        runs = range(len(range(0, width, 256)))  # runs of 256 multipliers sharing bits 8-15
+        self._window_bytes = bytearray(4 * width)
+        self._window_bytes[_BYTE[0]::4] = (bytes(range(256)) * len(runs))[:width]
+        self._window_bytes[_BYTE[1]::4] = b"".join(bytes((b,)) * 256 for b in runs)[:width]
+        self._window = array(_LINK, self._window_bytes)
 
     @property
     def prime_headers(self) -> list[int]:
@@ -81,7 +97,16 @@ class SieveTable:
         return generate_dci(p, self.m)
 
     def place_row(self, p: int, row: ValuationSequence) -> None:
-        """Place prime p from its DCI sequence, of which the first K terms are read."""
+        """Place prime p from its DCI sequence, of which the first K terms are read.
+
+        Multipliers k = 1..K are placed one window of 2^16 at a time, window j
+        holding k = j * 2^16 .. j * 2^16 + 2^16 - 1: column k * p takes term k
+        plus one in ``exp``, p in ``top`` and k in ``rest``, each from a slice
+        no longer than a window.  ``rest`` takes the table's one window array,
+        whose low halves hold 0..2^16-1; the loop counts j and, when the array
+        holds another window's, writes j into the high halves of the window's
+        bytes and copies those into the array through a memoryview cast.
+        """
         count = len(range(p, self.m + 1, p))
         if row.p != p or row.m < count:
             raise ValueError("row does not match table")
@@ -90,9 +115,21 @@ class SieveTable:
         if self._primes and p <= self._primes[-1]:
             raise ValueError(f"rows are placed in increasing order; {p} follows {self._primes[-1]}")
         self._primes.append(p)
-        self._exp[p::p] = row.terms[:count].translate(PLUS_ONE)
-        self._top[p::p] = array(_PRIME, [p]) * count
-        self._rest[p::p] = self._ks[1 : count + 1]
+        exp, top, rest, terms = self._exp, self._top, self._rest, row.terms
+        window, window_bytes = self._window, self._window_bytes
+        width = len(window)
+        fill = array(_PRIME, [p]) * min(width, count)
+        k = 1  # the next multiplier to place
+        for j, start in enumerate(range(0, count + 1, width)):
+            if window[0] != start:
+                for offset, byte in zip(_BYTE[2:], j.to_bytes(2, "little")):
+                    window_bytes[offset::4] = bytes((byte,)) * width
+                memoryview(window).cast("B")[:] = window_bytes
+            stop = min(start + width, count + 1)
+            exp[k * p : stop * p : p] = terms[k - 1 : stop - 1].translate(PLUS_ONE)
+            top[k * p : stop * p : p] = fill[: stop - k]
+            rest[k * p : stop * p : p] = window[k - start : stop - start]
+            k = stop
 
     def place_unit_row(self, p: int) -> None:
         """Same as `place_row` with the generated row.

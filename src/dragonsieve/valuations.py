@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import and_, floordiv, mod, neg
 from typing import Iterator
@@ -25,21 +24,23 @@ from .limits import BYTES_PER, require_memory
 PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
 
-@dataclass(frozen=True)
 class ValuationSequence:
-    """The 1-indexed prefix of length ``m`` of the valuation sequence for base ``p``."""
+    """The 1-indexed prefix of length ``m`` of the valuation sequence for base ``p``.
 
-    p: int
-    m: int
-    _full: bytes = field(repr=False)
+    A plain class, so that the sieve and the commands that only build sequences
+    do not import `dataclasses`.  It has no field-wise ``==``: compare ``terms``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"base must be at least 2, got {self.p}")
-        if self.m < 1:
-            raise ValueError(f"length must be at least 1, got {self.m}")
-        if len(self._full) != self.m:
-            raise ValueError(f"{len(self._full)} terms given for length {self.m}")
+    __slots__ = ("p", "m", "_full")
+
+    def __init__(self, p: int, m: int, _full: bytes) -> None:
+        if p < 2:
+            raise ValueError(f"base must be at least 2, got {p}")
+        if m < 1:
+            raise ValueError(f"length must be at least 1, got {m}")
+        if len(_full) != m:
+            raise ValueError(f"{len(_full)} terms given for length {m}")
+        self.p, self.m, self._full = p, m, _full
 
     @property
     def terms(self) -> bytes:

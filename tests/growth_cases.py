@@ -14,9 +14,11 @@ exec takes the peak RSS of the address space it leaves into the child's own
 
 The module needs nothing outside the standard library, so it also runs as a
 script under any supported Python, pytest or not, and exits 1 if a growth
-exceeds its charge::
+exceeds its charge.  Case names as arguments run only those cases; with none
+it runs every case::
 
     python3.10 tests/growth_cases.py
+    python3.10 tests/growth_cases.py factor render-list
 """
 
 from __future__ import annotations
@@ -148,10 +150,10 @@ def peak_rss(argv: list[str], cwd: Path) -> int:
     return int(done.stdout) * 1024
 
 
-def measure(tmp: Path) -> list[Run]:
-    """Run every case, its files in ``tmp``, and return its growth at each size."""
+def measure(tmp: Path, cases: tuple[Case, ...] = CASES) -> list[Run]:
+    """Run each of ``cases``, its files in ``tmp``, and return its growth at each size."""
     # The largest first, so that no long run is left to the end.
-    jobs = sorted(((case, n) for case in CASES for n in (TINY, *case.sizes)
+    jobs = sorted(((case, n) for case in cases for n in (TINY, *case.sizes)
                    for _ in range(case.runs)), key=lambda job: -job[1])
     peaks = {}
     with ThreadPoolExecutor(WORKERS) as pool:
@@ -160,22 +162,27 @@ def measure(tmp: Path) -> list[Run]:
             peaks.setdefault((case.name, n), []).append(peak)
     median = {key: statistics.median(runs) for key, runs in peaks.items()}
     return [Run(case.name, n, median[case.name, n] - median[case.name, TINY], case.need(n))
-            for case in CASES for n in case.sizes]
+            for case in cases for n in case.sizes]
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    by_name = {case.name: case for case in CASES}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(f"no case {', '.join(unknown)}; the cases are {', '.join(by_name)}", file=sys.stderr)
+        return 2
+    cases = tuple(by_name[name] for name in names) or CASES
     print(f"Python {sys.version.split()[0]}")
     print(f"{'case':12} {'figure':17} {'units':>8} {'growth MiB':>10} {'need MiB':>9}",
           f"{'B/unit':>7}")
-    figures = {case.name: case.figure for case in CASES}
     with tempfile.TemporaryDirectory() as tmp:
-        runs = measure(Path(tmp))
+        runs = measure(Path(tmp), cases)
     for run in runs:
-        print(f"{run.case:12} {figures[run.case]:17} {run.units:8} {run.growth / 2**20:10.2f} "
-              f"{run.need / 2**20:9.2f} {run.growth / run.units:7.2f}"
+        print(f"{run.case:12} {by_name[run.case].figure:17} {run.units:8}",
+              f"{run.growth / 2**20:10.2f} {run.need / 2**20:9.2f} {run.growth / run.units:7.2f}"
               + ("" if run.growth <= run.need else "  OVER"))
     return 0 if all(run.growth <= run.need for run in runs) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

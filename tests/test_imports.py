@@ -124,6 +124,15 @@ def test_factor_loads_neither_render_nor_verify():
     assert loaded.isdisjoint({"dragonsieve.render", "dragonsieve.verify", "dragonsieve.bfile"})
 
 
+@pytest.mark.parametrize("argv", [["factor", "6", "--limit", "10"], ["sieve", "--limit", "10"],
+                                  ["seq", "--p", "2", "--limit", "10"]], ids=lambda a: a[0])
+def test_sieve_path_does_not_import_dataclasses(argv):
+    # `dataclasses` imports `inspect` and `dis`, about 1 MB; a sequence is a plain class.
+    loaded = modules_after(f"from dragonsieve.cli import main; main({argv!r})")
+    assert "dragonsieve.valuations" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "dis"})
+
+
 def test_public_name_loads_its_own_module():
     loaded = modules_after("import dragonsieve; dragonsieve.run_sieve")
     assert "dragonsieve.sieve" in loaded and "dragonsieve.render" not in loaded

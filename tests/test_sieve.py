@@ -284,6 +284,33 @@ class TestPlaceRow:
         assert table.row(7).terms == generate_dci(7, 30).terms
 
 
+class TestWindows:
+    """Rows are placed a window of 2^16 multipliers at a time: the seams between windows."""
+
+    WINDOW = 2**16
+    M = 3 * 2**17 + 5  # row 2 spans four windows, row 3 three
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return run_sieve(self.M)
+
+    def test_rows_span_several_windows(self):
+        assert [len(range(0, self.M // p + 1, self.WINDOW)) for p in (2, 3, 5)] == [4, 3, 2]
+
+    def test_primes(self, table):
+        assert table.prime_headers == primes_by_trial_division(self.M)
+
+    def test_factorizations_at_the_seams(self, table):
+        # n = p * k for every k within 2 of a multiple of 2^16, in rows 2, 3, 5 and 7.
+        primes = set(primes_by_trial_division(self.M))
+        ns = [p * k for p in (2, 3, 5, 7) for seam in range(0, self.M // p + 3, self.WINDOW)
+              for k in range(seam - 2, seam + 3) if 1 <= k <= self.M // p]
+        assert len(ns) == 17 + 11 + 7 + 2
+        for n in ns:
+            TestReadFactorization.assert_unique_factorization(
+                read_factorization(table, n), n, primes)
+
+
 class TestRow:
     @pytest.mark.parametrize("p", [-3, 0, 1, 4, 15, 17, 18])
     def test_no_row_for_non_header(self, p):

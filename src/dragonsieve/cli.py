@@ -150,8 +150,14 @@ def _cmd_render(args) -> int:
     if args.mod is not None:
         terms = reduce_mod(terms, args.mod)
     out = _out_path(args.output)
-    with out.open("w", encoding="utf-8") as fh:
-        write_svg(terms, fh, args.angle, mapping, args.clockwise, stroke_width=args.stroke_width)
+    fh = out.open("w", encoding="utf-8")
+    try:
+        with fh:
+            write_svg(terms, fh, args.angle, mapping, args.clockwise,
+                      stroke_width=args.stroke_width)
+    except BaseException:  # a failed write, or its last flush, leaves no partial SVG
+        out.unlink()
+        raise
     print(f"wrote {out}")
     return 0
 

@@ -9,14 +9,13 @@ of 8, the Heighway turns equal the odd part of n mod 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .limits import BYTES_PER, require_memory
 from .valuations import PLUS_ONE
 
 
-@dataclass(frozen=True)
-class TurnSequence:
+class TurnSequence(NamedTuple):
     """The turns along a dragon curve, one byte term each."""
 
     terms: bytes

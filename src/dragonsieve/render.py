@@ -32,11 +32,10 @@ at 120) pays for a dict miss per vertex, and formats more slowly than one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import mod, neg
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .limits import BYTES_PER, require_memory
 
@@ -56,8 +55,7 @@ CHUNK = 1 << 13
 MARGIN = 8
 
 
-@dataclass(frozen=True)
-class PolylinePath:
+class PolylinePath(NamedTuple):
     """Vertices of a traced walk; one more vertex than input terms."""
 
     vertices: tuple[tuple[float, float], ...]

@@ -27,8 +27,8 @@ PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 class ValuationSequence:
     """The 1-indexed prefix of length ``m`` of the valuation sequence for base ``p``.
 
-    A plain class, so that the sieve and the commands that only build sequences
-    do not import `dataclasses`.  It has no field-wise ``==``: compare ``terms``.
+    A plain ``__slots__`` class, not a named tuple, which cannot have the
+    ``_full`` field.  It has no field-wise ``==``: compare ``terms``.
     """
 
     __slots__ = ("p", "m", "_full")

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
 from itertools import pairwise, repeat, starmap, zip_longest
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
@@ -32,25 +31,23 @@ VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
 FRACTAL_PRIMES = (2, 3, 5, 7)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     index: int
     expected: object
     actual: object
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one check.  Empty failures means pass."""
+class CheckReport(NamedTuple):
+    """Outcome of one check: its first failure, or None when it passed."""
 
     name: str
     cases: int
-    failures: list[Failure]
+    failure: Failure | None
     wall_time: float
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.failure is None
 
     def summary(self) -> str:
         # Timing is isolated in the final column so everything before it is
@@ -58,7 +55,7 @@ class CheckReport:
         if self.passed:
             head = f"ok\t{self.name}\tcases={self.cases}\t-"
         else:
-            f = self.failures[0]
+            f = self.failure
             head = (
                 f"FAIL\t{self.name}\tcases={self.cases}\t"
                 f"first: index={f.index} expected={f.expected} actual={f.actual}"
@@ -66,22 +63,22 @@ class CheckReport:
         return f"{head}\t{self.wall_time:.3f}s"
 
 
-def _run(name: str, cases: int, check: Callable[[], list[Failure]]) -> CheckReport:
+def _run(name: str, cases: int, check: Callable[[], Failure | None]) -> CheckReport:
     """Run one check of ``cases`` cases, timed; a raise or zero cases is a failure."""
     t0 = time.perf_counter()
     if cases < 1:
-        failures = [Failure(0, "at least one case", cases)]
+        failure = Failure(0, "at least one case", cases)
     else:
         try:
-            failures = check()
+            failure = check()
         except Exception as exc:
-            failures = [Failure(0, "no exception", f"{type(exc).__name__}: {exc}")]
-    return CheckReport(name, cases, failures, time.perf_counter() - t0)
+            failure = Failure(0, "no exception", f"{type(exc).__name__}: {exc}")
+    return CheckReport(name, cases, failure, time.perf_counter() - t0)
 
 
 def _first_mismatch(expected: Iterable, actual: Iterable, start: int = 1,
-                    same: Callable[[object, object], bool] = operator.eq) -> list[Failure]:
-    """The first position where the two differ, as a one-element list, else [].
+                    same: Callable[[object, object], bool] = operator.eq) -> Failure | None:
+    """The first position where the two differ, else None.
 
     Positions count from ``start``; the shorter side is padded with None.
     Two equal sequences of one type (bytes, lists) compare in C; only a
@@ -90,11 +87,11 @@ def _first_mismatch(expected: Iterable, actual: Iterable, start: int = 1,
     must hold for equal elements.
     """
     if expected == actual:
-        return []
+        return None
     for i, (e, a) in enumerate(zip_longest(expected, actual), start):
         if not same(e, a):
-            return [Failure(i, e, a)]
-    return []
+            return Failure(i, e, a)
+    return None
 
 
 def verify_sieve(limit: int) -> list[CheckReport]:
@@ -145,9 +142,8 @@ def verify_fractal(limit: int) -> list[CheckReport]:
                     for r in range(1, p)]
             aperiodic.append(_run(
                 f"aperiodicity-witnesses-p{p}", sum(len(run) for *_, run in runs),
-                lambda: [Failure(q, "witness", None) for q in sorted(
-                    first + i * run.index(terms[i - 1])
-                    for i, first, run in runs if terms[i - 1] in run)]))
+                lambda: min((Failure(first + i * run.index(terms[i - 1]), "witness", None)
+                             for i, first, run in runs if terms[i - 1] in run), default=None)))
             del runs
         del terms, once, kept
     reports += aperiodic
@@ -161,7 +157,7 @@ def verify_fractal(limit: int) -> list[CheckReport]:
     return reports
 
 
-def _decomposition_identity(limit: int) -> list[Failure]:
+def _decomposition_identity(limit: int) -> Failure | None:
     """Each n is its even part n & -n times an odd (remainder 1 mod 2) odd part.
 
     Both halves run in C; only a failing column is walked as (n, 1) against
@@ -173,7 +169,7 @@ def _decomposition_identity(limit: int) -> list[Failure]:
     if (len(odds) == limit
             and all(map(operator.eq, map(operator.mul, evens, odds), numbers))
             and all(map(operator.and_, odds, repeat(1)))):
-        return []
+        return None
     return _first_mismatch(((n, 1) for n in numbers),
                            (((n & -n) * o, o % 2) for n, o in zip(numbers, odds)))
 
@@ -197,18 +193,18 @@ def verify_render(limit: int) -> list[CheckReport]:
     terms = generate_dci(2, limit).terms
     cases = len(terms)
 
-    def mod4_invariance() -> list[Failure]:
+    def mod4_invariance() -> Failure | None:
         full = trace(terms, 90)
         reduced = trace(reduce_mod(terms, 4), 90)
-        return [] if full.vertices == reduced.vertices else [Failure(1, "equal paths", "mismatch")]
+        return None if full.vertices == reduced.vertices else Failure(1, "equal paths", "mismatch")
 
-    def unit_segments(angle: int) -> list[Failure]:
+    def unit_segments(angle: int) -> Failure | None:
         vertices = trace(terms, angle).vertices
         lengths = (math.dist(a, b) for a, b in pairwise(vertices))
         return _first_mismatch(repeat(1.0, cases), lengths,
                                same=lambda e, a: abs(a - e) <= 1e-9)
 
-    def vertex_count_law() -> list[Failure]:
+    def vertex_count_law() -> Failure | None:
         prefixes = [terms[: 1 + (k * 37) % min(cases, 500)] for k in range(1, 101)]
         return _first_mismatch([len(prefix) + 1 for prefix in prefixes],
                                (len(trace(prefix, 90).vertices)

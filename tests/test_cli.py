@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import importlib
 import inspect
 import io
@@ -345,6 +346,20 @@ class TestRenderCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: angle must be within") and len(err.splitlines()) == 1
         assert not out_file.parent.exists()
+
+    @pytest.mark.parametrize("fault", [MemoryError(), OSError(errno.ENOSPC, "No space left")],
+                             ids=["out-of-memory", "disk-full"])
+    def test_failed_write_leaves_no_svg(self, capsys, tmp_path, monkeypatch, fault):
+        def write_svg(terms, out, *args, **kwargs):
+            out.write("<?xml")
+            raise fault
+
+        monkeypatch.setattr("dragonsieve.render.write_svg", write_svg)
+        out_file = tmp_path / "x.svg"
+        code, out, err = run(capsys, "render", "--p", "2", "--limit", "16", "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out_file.exists()
 
 
 class TestVerifyCommand:

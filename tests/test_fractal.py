@@ -123,7 +123,7 @@ class TestAperiodicityWitness:
         periodic = generate_dci(2, 8).terms * 125
         monkeypatch.setattr(verify_mod, "generate_dci", lambda p, m: (
             ValuationSequence(p, m, periodic) if p == 2 else generate_dci(p, m)))
-        assert aperiodicity_report(2, 1000).failures[0] == Failure(8, "witness", None)
+        assert aperiodicity_report(2, 1000).failure == Failure(8, "witness", None)
 
     def test_accepts_valuation_sequence(self):
         reports = verify_mod.verify_fractal(100)

@@ -124,12 +124,27 @@ def test_factor_loads_neither_render_nor_verify():
     assert loaded.isdisjoint({"dragonsieve.render", "dragonsieve.verify", "dragonsieve.bfile"})
 
 
-@pytest.mark.parametrize("argv", [["factor", "6", "--limit", "10"], ["sieve", "--limit", "10"],
-                                  ["seq", "--p", "2", "--limit", "10"]], ids=lambda a: a[0])
-def test_sieve_path_does_not_import_dataclasses(argv):
-    # `dataclasses` imports `inspect` and `dis`, about 1 MB; a sequence is a plain class.
-    loaded = modules_after(f"from dragonsieve.cli import main; main({argv!r})")
-    assert "dragonsieve.valuations" in loaded
+# Each command, small, and the module that does its work.
+COMMANDS = [
+    (["factor", "6", "--limit", "10"], "sieve"),
+    (["sieve", "--limit", "10"], "sieve"),
+    (["seq", "--p", "2", "--limit", "10"], "valuations"),
+    (["levy", "--iterations", "3"], "dragons"),
+    (["heighway", "--iterations", "3"], "dragons"),
+    (["oddpart", "--limit", "10", "--mod4"], "fractal"),
+    (["decimate", "--p", "2", "--limit", "10"], "fractal"),
+    (["render", "--p", "2", "--limit", "16", "-o", "out.svg"], "render"),
+    (["verify", "all", "--small"], "verify"),
+]
+
+
+@pytest.mark.parametrize("argv,module", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+def test_no_command_imports_dataclasses(argv, module, tmp_path):
+    # `dataclasses` imports `inspect` and `dis`, about 1 MB; every record is a
+    # plain class or a named tuple.
+    argv = [str(tmp_path.joinpath(a)) if a.endswith(".svg") else a for a in argv]
+    loaded = modules_after(f"from dragonsieve.cli import main; assert main({argv!r}) == 0")
+    assert f"dragonsieve.{module}" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "dis"})
 
 

@@ -7,7 +7,6 @@ before any output, and the report lines stay fixed apart from timing.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import operator
 import re
@@ -160,7 +159,7 @@ class TestPlantedDefect:
         assert all(line.startswith("ok\t") for line in lines[1:-1])
         assert lines[-1] == "FAIL"
         report = verify_mod.verify_valuations(100)[0]
-        assert report.failures == [Failure(self.BAD_INDEX, 0, 1)]
+        assert report.failure == Failure(self.BAD_INDEX, 0, 1)
 
     def test_bad_last_index_is_reported(self, capsys, monkeypatch):
         plant_in_v2(monkeypatch, 100)  # v2(100) = 2
@@ -169,7 +168,7 @@ class TestPlantedDefect:
         assert without_timing(out).splitlines()[0] == (
             "FAIL\tdci-matches-division-oracle-p2\tcases=100\t"
             "first: index=100 expected=2 actual=3")
-        assert verify_mod.verify_valuations(100)[0].failures == [Failure(100, 2, 3)]
+        assert verify_mod.verify_valuations(100)[0].failure == Failure(100, 2, 3)
 
     def test_sequence_a_term_short_is_reported(self, capsys, monkeypatch):
         def short_dci(p, m):
@@ -245,7 +244,7 @@ class TestPlantedDefect:
             seq = build(iterations)
             terms = bytearray(seq.terms)
             terms[index - 1] = turn
-            return dataclasses.replace(seq, terms=bytes(terms))
+            return seq._replace(terms=bytes(terms))
 
         monkeypatch.setattr(verify_mod, build.__name__, corrupted)
         code, out, _ = run(capsys, "verify", suite, "--iterations", iterations)
@@ -351,8 +350,8 @@ def naive_first_mismatch(expected, actual, start=1, same=operator.eq):
         e = expected[k] if k < len(expected) else None
         a = actual[k] if k < len(actual) else None
         if not same(e, a):
-            return [Failure(start + k, e, a)]
-    return []
+            return Failure(start + k, e, a)
+    return None
 
 
 def within_one(e, a):

@@ -25,6 +25,9 @@ OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
 # Desk-scale default, overridable by a flag.
 DEFAULT_RENDER_LIMIT = 10**4
 
+# The longest sequence `seq` writes: 2^32 - 1 terms, the widest sieve table.
+SEQ_MAX_LIMIT = (1 << 32) - 1
+
 # The verify suites in run order: {suite: (default, --small)}, each a mapping
 # from a verify.verify_<suite> parameter to its value.  The parameters share
 # their names with the `verify` flags that override them.
@@ -49,9 +52,13 @@ def _out_path(name: str) -> Path:
 
 def _cmd_seq(args) -> int:
     from .bfile import write_b_file
-    from .valuations import generate_dci
+    from .valuations import dci_chunks
 
-    write_b_file(generate_dci(args.p, args.limit).terms, sys.stdout)
+    # A stream holds about one chunk at any length, so memory bounds no limit:
+    # the cap is the widest sieve table instead.
+    if args.limit > SEQ_MAX_LIMIT:
+        raise ValueError(f"seq --limit must be at most {SEQ_MAX_LIMIT}, got {args.limit}")
+    write_b_file(dci_chunks(args.p, args.limit), sys.stdout)
     return 0
 
 
@@ -107,7 +114,7 @@ def _cmd_levy(args) -> int:
     from .bfile import write_b_file
     from .dragons import levy_turns
 
-    write_b_file(levy_turns(args.iterations).terms, sys.stdout)
+    write_b_file((levy_turns(args.iterations).terms,), sys.stdout)
     return 0
 
 
@@ -115,7 +122,7 @@ def _cmd_heighway(args) -> int:
     from .bfile import write_b_file
     from .dragons import heighway_turns
 
-    write_b_file(heighway_turns(args.iterations).terms, sys.stdout)
+    write_b_file((heighway_turns(args.iterations).terms,), sys.stdout)
     return 0
 
 
@@ -126,7 +133,7 @@ def _cmd_oddpart(args) -> int:
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
         terms = bytes(map(and_, terms, repeat(3)))  # an odd part is positive: & 3 is mod 4
-    write_b_file(terms, sys.stdout)
+    write_b_file((terms,), sys.stdout)
     return 0
 
 

@@ -5,8 +5,8 @@ the unit's order around the circle (finite for every float or fraction
 angle), so rotation never accumulates floating error.  At 90 and 180
 degrees the walk stays on the integer lattice and coordinates are exact.
 
-One generator walks the terms, ``CHUNK`` vertices at a time, as an x
-column and a y column.  No vertex is visited by Python bytecode: headings
+One generator, `walk`, walks the terms, ``CHUNK`` vertices at a time, as
+an x column and a y column.  No vertex is visited by Python bytecode: headings
 are a running sum of the turns reduced by the order, unit vectors come from
 per-axis tables (exact ints on the lattice, filled lazily elsewhere and
 emptied once they hold more than a chunk's headings), and coordinates are
@@ -14,13 +14,14 @@ running sums of the unit vectors, so every float addition is the one a
 per-vertex loop would make, in the same order.  `trace` keeps
 the vertices as a `PolylinePath`, which `to_svg` renders.  `write_svg`
 writes the same document without keeping them: it walks once for the
-bounding box and once more for the points.
+bounding box and once more for the points.  ``verify`` reads the walk's
+chunks as `write_svg` does.
 
 Formatting the points runs bytecode once per distinct coordinate of a
 chunk, not per vertex: each axis has a memo from a coordinate to its text,
 shifted into the viewBox and formatted by its type, an int as
 ``"%d.000000"`` (the text ``"%.6f"`` gives its float) and any other number
-as ``"%.6f"``.  Only `_walk` knows the lattice: the formatter, `trace`
+as ``"%.6f"``.  Only `walk` knows the lattice: the formatter, `trace`
 and `to_svg` see ints or floats and nothing else.  The memo is emptied
 after every chunk, and the chunk's points are one join of its texts with
 ``","`` and ``" "`` already in place between them.  A walk that seldom
@@ -77,7 +78,7 @@ def trace(
     """
     _check_walk(terms, angle, mapping)
     require_memory(f"a trace of {len(terms)} terms", BYTES_PER["trace term"] * len(terms))
-    columns = _walk(terms, Fraction(angle), mapping, clockwise)
+    columns = walk(terms, angle, mapping, clockwise)
     return PolylinePath(tuple(chain.from_iterable(starmap(zip, columns))))
 
 
@@ -98,9 +99,8 @@ def write_svg(
     their texts, is held.  `check_svg` runs before anything is written.
     """
     check_svg(terms, angle, mapping, stroke_width)
-    angle = Fraction(angle)
-    box = _bounds(_walk(terms, angle, mapping, clockwise))
-    out.writelines(_svg_text(_walk(terms, angle, mapping, clockwise), box, stroke_width))
+    box = _bounds(walk(terms, angle, mapping, clockwise))
+    out.writelines(_svg_text(walk(terms, angle, mapping, clockwise), box, stroke_width))
 
 
 def check_svg(terms: Sequence[int], angle: float | int | Fraction, mapping: str,
@@ -128,14 +128,19 @@ def _check_stroke_width(stroke_width: float) -> None:
         raise ValueError(f"stroke width must be finite and above 0, got {stroke_width}")
 
 
-def _walk(
-    terms: Sequence[int], angle: Fraction, mapping: str, clockwise: bool
+def walk(
+    terms: Sequence[int],
+    angle: float | int | Fraction = 90,
+    mapping: str = CCW_COUNT,
+    clockwise: bool = False,
 ) -> Iterator[tuple[list, list]]:
-    """Yield the vertices of the walk, the origin first, as ``(xs, ys)`` columns.
+    """Yield the vertices of `trace`'s walk, the origin first, as ``(xs, ys)`` columns.
 
     Every chunk holds ``CHUNK`` vertices but the last, which holds 1 to
-    ``CHUNK`` of them: one more vertex than terms in all.
+    ``CHUNK`` of them: one more vertex than terms in all.  The arguments
+    are not checked: `trace` and `write_svg` check them first.
     """
+    angle = Fraction(angle)
     # Smallest r with r * angle a multiple of 360: headings repeat modulo it.
     order = (360 / angle).numerator
 
@@ -174,7 +179,7 @@ def _walk(
 class _AxisTable(dict):
     """Heading -> one coordinate of its unit vector, computed on first lookup.
 
-    `_walk` empties it when it outgrows a chunk: a cleared value is computed
+    `walk` empties it when it outgrows a chunk: a cleared value is computed
     again by the same expression, so it is the same float.
     """
 
@@ -203,7 +208,7 @@ def to_svg(path: PolylinePath, *, stroke_width: float = 1.0) -> str:
 
 
 def _columns(vertices: Sequence[tuple[float, float]]) -> Iterator[Iterator[tuple]]:
-    """The vertices as ``(xs, ys)`` columns, ``CHUNK`` at a time, as `_walk` yields them."""
+    """The vertices as ``(xs, ys)`` columns, ``CHUNK`` at a time, as `walk` yields them."""
     for i in range(0, len(vertices), CHUNK):
         yield zip(*vertices[i : i + CHUNK])
 

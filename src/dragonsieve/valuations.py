@@ -2,7 +2,8 @@
 
 The generator in this module never divides: each sequence is a run of
 bytes (every term is a valuation below 64) that grows by copying the run
-plus a single increment per round.  The division-based column oracles
+plus a single increment per round, and a longer one is streamed, a chunk
+of such copies at a time (`dci_chunks`).  The division-based column oracles
 (`valuations_by_division`, `odd_parts_by_division`,
 `odd_parts_mod4_by_division` and `primes_by_trial_division`) are the
 independent reference side used to cross-check the division-free
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import repeat
+from itertools import chain, repeat
 from operator import and_, floordiv, mod, neg
 from typing import Iterator
 
@@ -22,6 +23,8 @@ from .limits import BYTES_PER, require_memory
 
 # bytes.translate table adding 1 to a term; terms stay far below 255.
 PLUS_ONE = bytes(range(1, 256)) + b"\xff"
+# Terms in a chunk of `dci_chunks` at most.
+CHUNK_TERMS = 1 << 16
 
 
 class ValuationSequence:
@@ -49,29 +52,90 @@ class ValuationSequence:
 
 
 def generate_dci(p: int, m: int) -> ValuationSequence:
-    """Build the valuation sequence for ``p`` by duplicate-concatenate-increment.
+    """The valuation sequence for ``p``, ``m`` terms long: the join of `dci_chunks`.
 
-    Start from <0>; each round appends p-1 copies of the current sequence
+    Checked from 2^16 terms: a shorter sequence needs under 256 KiB, a check
+    on each sieve row added 0.1 s to a 0.6 s sieve of width 10^6, and the
+    table's own check covers the rows.  A sequence of one chunk is that
+    chunk, not a copy.
+    """
+    chunks = dci_chunks(p, m)
+    if m >= CHUNK_TERMS:
+        require_memory(f"a valuation sequence of {m} terms", BYTES_PER["valuation term"] * m)
+    return ValuationSequence(p, m, b"".join(chunks))
+
+
+def dci_chunks(p: int, m: int) -> Iterator[bytes]:
+    """The first ``m`` terms of the valuation sequence for ``p``, as chunks of at most 2^16 terms.
+
+    Up to 2^16 terms, one chunk by duplicate-concatenate-increment: start
+    from <0>; each round appends p-1 copies of the current sequence
     end-to-end and increments the final term, while that final term lies
     within ``m``.  The first m terms of the next round are copies of the
-    prefix, so the rest is filled by copying.  No division or modulo anywhere.
+    prefix, so the rest is filled by copying.
+
+    Beyond, let B = p**k be the largest power of p within 2^16, made by
+    those rounds.  Term (j-1)*B + i is term i for i < B, and term j*B is
+    k + v_p(j): each block of B terms is block 1 with its last term
+    changed.  A chunk is block 1 repeated r times, r*B <= 2^16, with its r
+    block-final terms set by one stepped-slice assignment from this stream,
+    one level up, of the len(range(0, m, B)) block numbers, the one division
+    (CPython's).  For p above 2^16, B is p: each block is p-1 zeros and its
+    final term, sent in chunks of 2^16 terms.  ``p`` and ``m`` are checked
+    when this is called, before any term is made.
     """
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
     if m < 1:
         raise ValueError(f"length must be at least 1, got {m}")
-    # Checked from 2^16 terms: a shorter sequence needs under 256 KiB, a check on
-    # each sieve row added 0.1 s to a 0.6 s sieve of width 10^6, and the table's
-    # own check covers the rows.
-    if m >= 1 << 16:
-        require_memory(f"a valuation sequence of {m} terms", BYTES_PER["valuation term"] * m)
-    seq = bytearray(1)
-    while len(seq) * p <= m:
-        seq *= p  # p-1 copies appended end-to-end
-        seq[-1] += 1
-    while len(seq) < m:
-        seq += seq[: m - len(seq)]
-    return ValuationSequence(p, m, bytes(seq))
+    return _dci_chunks(p, m)
+
+
+def _dci_chunks(p: int, m: int) -> Iterator[bytes]:
+    """`dci_chunks` once ``p`` and ``m`` are checked; each level up calls it again."""
+    block = bytearray(1)
+    while len(block) * p <= min(m, CHUNK_TERMS):
+        block *= p  # p-1 copies appended end-to-end
+        block[-1] += 1
+    if m <= CHUNK_TERMS:
+        while len(block) < m:
+            block += block[: m - len(block)]
+        yield bytes(block)
+        return
+    left = m  # terms not yet yielded
+    if len(block) == 1:  # p above 2^16: one chunk holds at most one block-final term
+        zeros = bytes(CHUNK_TERMS)
+        finals = chain.from_iterable(
+            tops.translate(PLUS_ONE) for tops in _dci_chunks(p, len(range(0, m, p))))
+        final = p - 1  # the index, from the next chunk's first term, of the next final term
+        while left > 0:
+            if final < min(left, CHUNK_TERMS):
+                chunk = bytearray(zeros[:left])
+                chunk[final] = next(finals)
+                yield bytes(chunk)
+                final += p
+            else:
+                yield zeros[:left]
+            left -= CHUNK_TERMS
+            final -= CHUNK_TERMS
+        return
+    size, k = len(block), block[-1]
+    plus_k = bytes(range(k, 256)) + b"\xff" * k  # bytes.translate table adding k to a term
+    r = 1
+    while (r + 1) * size <= CHUNK_TERMS:
+        r += 1
+    template = bytes(block) * r
+    del block  # the template holds block 1
+    for tops in _dci_chunks(p, len(range(0, m, size))):
+        tops = tops.translate(plus_k)
+        for i in range(0, len(tops), r):
+            finals = tops[i : i + r]
+            chunk = bytearray(template[: len(finals) * size])
+            chunk[size - 1 :: size] = finals
+            left -= len(chunk)
+            if left < 0:  # the last block, cut at m
+                del chunk[left:]
+            yield bytes(chunk)
 
 
 def valuations_by_division(p: int, n: int) -> bytes:

@@ -12,14 +12,16 @@ from __future__ import annotations
 import math
 import operator
 import time
-from itertools import pairwise, repeat, starmap, zip_longest
+from itertools import chain, pairwise, repeat, starmap, zip_longest
 from typing import Callable, Iterable, NamedTuple
 
 from .dragons import heighway_turns, levy_turns
 from .fractal import decimate_terms, reconstruct_odd_part
-from .render import reduce_mod, trace
+from .limits import BYTES_PER, require_memory
+from .render import reduce_mod, walk
 from .sieve import read_factorization, run_sieve
 from .valuations import (
+    dci_chunks,
     generate_dci,
     odd_parts_by_division,
     odd_parts_mod4_by_division,
@@ -94,6 +96,22 @@ def _first_mismatch(expected: Iterable, actual: Iterable, start: int = 1,
     return None
 
 
+def _first_chunk_mismatch(expected: bytes, chunks: Iterable[bytes]) -> Failure | None:
+    """`_first_mismatch` of ``expected`` and the join of ``chunks``, one chunk at a time.
+
+    Each chunk is compared with its slice of ``expected``, and only a chunk
+    that differs from it is walked; a join short of ``expected`` fails at
+    its first missing term.
+    """
+    start = 0
+    for chunk in chunks:
+        end = start + len(chunk)
+        if expected[start:end] != chunk:
+            return _first_mismatch(expected[start:end], chunk, start + 1)
+        start = end
+    return _first_mismatch(expected[start:], b"", start + 1)
+
+
 def verify_sieve(limit: int) -> list[CheckReport]:
     table = run_sieve(limit)
     expected = primes_by_trial_division(limit)
@@ -110,12 +128,15 @@ def verify_sieve(limit: int) -> list[CheckReport]:
 
 
 def verify_valuations(limit: int) -> list[CheckReport]:
+    # Each DCI stream is compared a chunk at a time with its oracle's column,
+    # the one whole column held, which is charged here, before any check.
+    require_memory(f"a valuation column of {limit} terms", BYTES_PER["valuation term"] * limit)
     reports = []
     for p in VALUATION_PRIMES:
-        terms = generate_dci(p, limit).terms
+        chunks = dci_chunks(p, limit)
         reports.append(_run(
             f"dci-matches-division-oracle-p{p}", limit,
-            lambda: _first_mismatch(valuations_by_division(p, limit), terms)))
+            lambda: _first_chunk_mismatch(valuations_by_division(p, limit), chunks)))
     return reports
 
 
@@ -190,16 +211,16 @@ def verify_heighway(iterations: int) -> list[CheckReport]:
 
 
 def verify_render(limit: int) -> list[CheckReport]:
+    # Every walk is read a chunk of vertices at a time, as `write_svg` reads it.
     terms = generate_dci(2, limit).terms
     cases = len(terms)
 
     def mod4_invariance() -> Failure | None:
-        full = trace(terms, 90)
-        reduced = trace(reduce_mod(terms, 4), 90)
-        return None if full.vertices == reduced.vertices else Failure(1, "equal paths", "mismatch")
+        same = all(starmap(operator.eq, zip_longest(walk(terms), walk(reduce_mod(terms, 4)))))
+        return None if same else Failure(1, "equal paths", "mismatch")
 
     def unit_segments(angle: int) -> Failure | None:
-        vertices = trace(terms, angle).vertices
+        vertices = chain.from_iterable(starmap(zip, walk(terms, angle)))
         lengths = (math.dist(a, b) for a, b in pairwise(vertices))
         return _first_mismatch(repeat(1.0, cases), lengths,
                                same=lambda e, a: abs(a - e) <= 1e-9)
@@ -207,8 +228,7 @@ def verify_render(limit: int) -> list[CheckReport]:
     def vertex_count_law() -> Failure | None:
         prefixes = [terms[: 1 + (k * 37) % min(cases, 500)] for k in range(1, 101)]
         return _first_mismatch([len(prefix) + 1 for prefix in prefixes],
-                               (len(trace(prefix, 90).vertices)
-                                for prefix in prefixes))
+                               (sum(len(xs) for xs, _ in walk(prefix)) for prefix in prefixes))
 
     return [
         _run("mod4-trace-invariance-90deg", cases, mod4_invariance),

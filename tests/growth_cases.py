@@ -1,11 +1,13 @@
 """Each memory figure of `dragonsieve.limits.BYTES_PER`, against the growth it bounds.
 
 A case runs one command in a fresh child: a CLI command, or ``python -c``
-for `trace`.  Its growth is the child's peak RSS less that of a tiny run of
-the same command, and it must not exceed what the command's guard charges
-at that size.  A figure that scales with size is measured at two sizes of
-at least 10^6 units; the chunk-vertex figure, which stops at one chunk of
-`render.CHUNK` vertices, at one size of many chunks.
+for `trace`, and for `generate_dci`, which `seq` streams in its place.
+Its growth is the child's peak RSS less that of a tiny run of the same
+command, and it must not exceed what the command's guard charges at that
+size, or, for `seq`, a fixed bound that no figure charges.
+A figure that scales with size is measured at two sizes of at least 10^6
+units; the chunk-vertex figure, which stops at one chunk of `render.CHUNK`
+vertices, at one size of many chunks.
 
 Each child is forked by a small launcher, which reads its ``ru_maxrss``.
 A child that this process started by fork or vfork would not do: on Linux,
@@ -61,10 +63,16 @@ from dragonsieve.valuations import generate_dci
 to_svg(trace(generate_dci(3, int(sys.argv[1])).terms))
 """
 
+_DCI = """\
+import sys
+from dragonsieve.valuations import generate_dci
+generate_dci(2, int(sys.argv[1]))
+"""
+
 
 class Case(NamedTuple):
     name: str
-    figure: str  # its key in BYTES_PER
+    figure: str | None  # its key in BYTES_PER, or None for a stream's fixed bound
     argv: Callable[[int, Path], list[str]]  # the child's arguments for n units, given a work dir
     need: Callable[[int], int]  # the bytes its guard charges for n units
     sizes: tuple[int, ...]
@@ -96,12 +104,16 @@ def _per(figure: str) -> Callable[[int], int]:
 MILLION = 10**6
 TINY = 10  # the units of the run whose peak every growth is measured from
 WORKERS = 2  # children run at a time
+# The growth of a command that streams, which holds about one chunk at any size.
+STREAM_BOUND = 2 << 20
 
 # A run's peak varies by up to 0.3 MiB, so a figure within 10 % of its growth
 # at 10^6 units is read as the median of five runs.
 CASES = (
-    Case("seq", "valuation term", lambda n, _: _cli("seq", "--p", 2, "--limit", n),
+    Case("dci", "valuation term", lambda n, _: ["-c", _DCI, str(n)],
          _per("valuation term"), (MILLION, 2 * MILLION)),
+    Case("seq", None, lambda n, _: _cli("seq", "--p", 2, "--limit", n),
+         lambda n: STREAM_BOUND, (MILLION, 2 * MILLION)),
     Case("factor", "sieve column", lambda n, _: _cli("factor", 7, "--limit", n),
          _per("sieve column"), (MILLION, 2 * MILLION), runs=5),
     # n = 2**(j+1): a Levy dragon of j iterations has n - 1 terms and is charged for n.
@@ -178,7 +190,7 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = measure(Path(tmp), cases)
     for run in runs:
-        print(f"{run.case:12} {by_name[run.case].figure:17} {run.units:8}",
+        print(f"{run.case:12} {by_name[run.case].figure or 'stream':17} {run.units:8}",
               f"{run.growth / 2**20:10.2f} {run.need / 2**20:9.2f} {run.growth / run.units:7.2f}"
               + ("" if run.growth <= run.need else "  OVER"))
     return 0 if all(run.growth <= run.need for run in runs) else 1

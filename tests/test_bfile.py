@@ -68,9 +68,29 @@ def test_byte_blocks_format_line_by_line(pattern, n, start):
     terms = (pattern * (n // len(pattern) + 1))[:n]
     assert format_b_file(terms, start) == reference_format(terms, start)
     out = io.StringIO()
-    with patch.object(bfile, "_CHUNK", 3000):  # so that 7000 terms cross two chunk ends
-        write_b_file(terms, out)
+    with patch.object(bfile, "_PIECE", 3000):  # so that 7000 terms cross two piece ends
+        write_b_file([terms], out)
     assert out.getvalue() == format_b_file(terms)
+
+
+def written_b_file(chunks):
+    out = io.StringIO()
+    write_b_file(chunks, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("size", [1, 999, 1000, 8001, 65_536])
+@pytest.mark.parametrize("kind", ["bytes", "array", "list"])
+def test_chunks_write_the_text_of_their_join(size, kind):
+    # 20 000 terms cross two piece ends, which the chunks straddle or meet.
+    terms = _TERMS_OF_KIND[kind](20_000)
+    chunks = [terms[i : i + size] for i in range(0, len(terms), size)]
+    assert written_b_file(chunks) == written_b_file([terms]) == reference_format(terms)
+
+
+def test_no_chunks_and_empty_chunks_write_nothing_of_their_own():
+    assert written_b_file([]) == written_b_file([b""]) == ""
+    assert written_b_file([b"", b"\x01\x02", b"", b"\x03"]) == "1 1\n2 2\n3 3\n"
 
 
 @given(st.lists(st.integers()), st.integers(min_value=-1000, max_value=10**6))

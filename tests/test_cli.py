@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dragonsieve import format_b_file, levy_turns, primes_by_trial_division, verify
-from dragonsieve.cli import SUITES, build_parser, main
+from dragonsieve import format_b_file, levy_turns, primes_by_trial_division, sieve, verify
+from dragonsieve.cli import SEQ_MAX_LIMIT, SUITES, build_parser, main
 from dragonsieve.limits import BYTES_PER
 from dragonsieve.valuations import valuations_by_division
 
@@ -68,6 +68,11 @@ class TestSeqCommand:
         code, _, err = run(capsys, "seq", "--p", "1", "--limit", "4")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_bad_length_is_usage_error(self, capsys, limit):
+        assert run(capsys, "seq", "--p", "2", "--limit", limit) == (
+            2, "", f"error: length must be at least 1, got {limit}\n")
 
 
 class TestFactorCommand:
@@ -412,14 +417,13 @@ class TestVerifyCommand:
 
 class TestSequenceSizeGuards:
     @pytest.mark.parametrize("argv", [
-        ["seq", "--p", "2"],
         ["decimate", "--p", "2"],
         ["oddpart"],
         ["render", "--p", "2", "-o", "sub/x.svg"],
         ["verify", "valuations"],
         ["verify", "fractal"],
         ["verify", "render"],
-    ], ids=["seq", "decimate", "oddpart", "render",
+    ], ids=["decimate", "oddpart", "render",
             "verify-valuations", "verify-fractal", "verify-render"])
     def test_beyond_memory_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                           report_physical_memory, traced_peak, argv):
@@ -436,6 +440,20 @@ class TestSequenceSizeGuards:
         assert len(err.splitlines()) == 1
         assert peak < 10**5
         assert not (tmp_path / "sub").exists()
+
+    def test_seq_streams_past_physical_memory(self, capsys, report_physical_memory):
+        # `seq` holds about one chunk of its 200000 terms, so 64 KiB refuses nothing.
+        _, want, _ = run(capsys, "seq", "--p", "2", "--limit", "200000")
+        assert want == format_b_file(valuations_by_division(2, 200000))
+        report_physical_memory(2**16)
+        assert run(capsys, "seq", "--p", "2", "--limit", "200000") == (0, want, "")
+
+    @pytest.mark.parametrize("limit", [2**32, 10**12])
+    def test_seq_longer_than_the_widest_sieve_table_is_usage_error(self, capsys, limit):
+        assert SEQ_MAX_LIMIT == 2**32 - 1 == sieve._MAX_WIDTH
+        code, out, err = run(capsys, "seq", "--p", "2", "--limit", str(limit))
+        assert (code, out) == (2, "")
+        assert err == f"error: seq --limit must be at most {2**32 - 1}, got {limit}\n"
 
 
 def start(*argv, **popen_args):
@@ -465,11 +483,11 @@ class TestClosedStdout:
 
 
 def test_memory_error_is_usage_error():
-    # 10^9 terms pass the physical-memory check, but not 600 MB of address space,
-    # which binds the child only: the allocation fails, not the check.
+    # A table of width 10^8 passes the physical-memory check, but not 600 MB of
+    # address space, which binds the child only: the allocation fails, not the check.
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (600 * 10**6, 600 * 10**6))
 
-    proc = start("seq", "--p", "2", "--limit", str(10**9), preexec_fn=limit_address_space)
+    proc = start("factor", "7", "--limit", str(10**8), preexec_fn=limit_address_space)
     out, err = proc.communicate(timeout=60)
-    assert (proc.returncode, out, err) == (2, b"", b"error: seq ran out of memory\n")
+    assert (proc.returncode, out, err) == (2, b"", b"error: factor ran out of memory\n")

@@ -17,7 +17,7 @@ def growth(tmp_path_factory):
 
 
 def test_every_figure_has_a_case():
-    assert sorted({case.figure for case in CASES}) == sorted(BYTES_PER)
+    assert sorted({case.figure for case in CASES} - {None}) == sorted(BYTES_PER)
 
 
 @pytest.mark.parametrize("case,units", RUNS, ids=[f"{name}-{n}" for name, n in RUNS])

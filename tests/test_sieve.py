@@ -22,7 +22,7 @@ from dragonsieve import (
     reconstruct_odd_part,
     run_sieve,
 )
-from dragonsieve import bfile, cli, sieve
+from dragonsieve import bfile, cli, sieve, valuations
 from dragonsieve.valuations import valuations_by_division
 
 
@@ -412,6 +412,14 @@ class TestDivisionFree:
 
     def test_generate_dci_does_not_divide(self):
         assert list(_divisions(ast.parse(inspect.getsource(generate_dci)))) == []
+
+    @pytest.mark.parametrize("part", [valuations.dci_chunks, valuations._dci_chunks])
+    def test_dci_stream_does_not_divide(self, part):
+        # Its one division is CPython's, the length of a `range`.
+        assert list(_divisions(ast.parse(inspect.getsource(part)))) == []
+
+    def test_b_file_writer_cuts_its_pieces_without_dividing(self):
+        assert list(_divisions(ast.parse(inspect.getsource(bfile.write_b_file)))) == []
 
     @pytest.mark.parametrize("construction", [levy_turns, heighway_turns])
     def test_dragon_constructions_do_not_divide(self, construction):

@@ -16,6 +16,8 @@ from dragonsieve import (
 )
 from dragonsieve.limits import BYTES_PER
 from dragonsieve.valuations import (
+    CHUNK_TERMS,
+    dci_chunks,
     odd_parts_by_division,
     odd_parts_mod4_by_division,
     valuations_by_division,
@@ -114,6 +116,60 @@ class TestGenerateDci:
         assert len(generate_dci(2, 2**16 - 1).terms) == 2**16 - 1
         with pytest.raises(ValueError, match="physical memory"):
             generate_dci(2, 2**16)
+
+
+def whole_dci(p, m):
+    """The DCI loop that built every sequence whole, before the stream."""
+    seq = bytearray(1)
+    while len(seq) * p <= m:
+        seq *= p
+        seq[-1] += 1
+    while len(seq) < m:
+        seq += seq[: m - len(seq)]
+    return bytes(seq)
+
+
+def first_block(p):
+    """B, the largest power of p within 2^16, or p itself above 2^16."""
+    b = 1
+    while b * p <= 2**16:
+        b *= p
+    return b if b > 1 else p
+
+
+STREAM_PRIMES = [2, 3, 5, 7, 13, 257, 65521, 65537, 1000003]
+STREAM_CASES = [
+    (p, m) for p in STREAM_PRIMES
+    for m in sorted({1, p - 1, p, p + 1, first_block(p) - 1, first_block(p), first_block(p) + 1,
+                     2**16 - 1, 2**16 + 1, 3 * 2**16 + 11, 10**6} - {0})
+]
+
+
+class TestDciChunks:
+    @pytest.mark.parametrize("p,m", STREAM_CASES, ids=[f"p{p}-m{m}" for p, m in STREAM_CASES])
+    def test_join_equals_the_oracle_and_the_whole_loop(self, p, m):
+        chunks = list(dci_chunks(p, m))
+        assert all(type(chunk) is bytes and 0 < len(chunk) <= 2**16 for chunk in chunks)
+        joined = b"".join(chunks)
+        assert joined == valuations_by_division(p, m)
+        assert joined == whole_dci(p, m)
+
+    def test_generate_dci_is_the_join(self):
+        for p, m in [(2, 1), (3, 2**16), (7, 3 * 2**16 + 11), (65537, 2**17 + 5)]:
+            assert generate_dci(p, m).terms == b"".join(dci_chunks(p, m))
+
+    @pytest.mark.parametrize("p,m", [(1, 10), (0, 10), (-3, 10), (2, 0), (2, -1), (1, 0)])
+    def test_bad_base_or_length_raises_when_called(self, p, m):
+        # Before any term is made: the call raises, with nothing iterated.
+        with pytest.raises(ValueError, match="base must be at least 2|length must be at least 1"):
+            dci_chunks(p, m)
+
+    def test_holds_one_chunk_at_a_time(self, traced_peak):
+        # 10^7 terms, each chunk dropped before the next is made: the stream
+        # holds block 1's repeats, a chunk and the chunk's bytes, not 10 MB.
+        count, _, peak = traced_peak(lambda: sum(map(len, dci_chunks(2, 10**7))))
+        assert count == 10**7
+        assert peak < 5 * CHUNK_TERMS
 
 
 def test_terms_are_the_held_bytes():

@@ -17,11 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dragonsieve.valuations as valuations_mod
 import dragonsieve.verify as verify_mod
 from dragonsieve import (
     Failure,
-    ValuationSequence,
-    generate_dci,
     heighway_turns,
     levy_turns,
     read_factorization,
@@ -29,7 +28,7 @@ from dragonsieve import (
     run_sieve,
 )
 from dragonsieve.cli import main
-from dragonsieve.valuations import odd_parts_by_division
+from dragonsieve.valuations import CHUNK_TERMS, odd_parts_by_division
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -133,15 +132,32 @@ class TestMemory:
         assert peak < 999_424
 
 
+def plant_in_stream(monkeypatch, edit):
+    """Make `verify` see every p=2 valuation sequence, streamed or joined, as ``edit`` leaves it.
+
+    ``edit`` takes the m terms as a bytearray and returns the terms to stream.
+    """
+    real = valuations_mod.dci_chunks
+
+    def corrupted(p, m):
+        chunks = real(p, m)
+        if p != 2:
+            return chunks
+        terms = bytes(edit(bytearray(b"".join(chunks))))
+        return (terms[i : i + CHUNK_TERMS] for i in range(0, len(terms), CHUNK_TERMS))
+
+    # `generate_dci` joins the stream of its own module; `verify` holds its own name for it.
+    monkeypatch.setattr(valuations_mod, "dci_chunks", corrupted)
+    monkeypatch.setattr(verify_mod, "dci_chunks", corrupted)
+
+
 def plant_in_v2(monkeypatch, index):
     """Make `verify` see the p=2 valuation sequence with term ``index`` incremented."""
-    def corrupted_dci(p, m):
-        terms = bytearray(generate_dci(p, m).terms)
-        if p == 2:
-            terms[index - 1] += 1
-        return ValuationSequence(p, m, bytes(terms))
+    def increment(terms):
+        terms[index - 1] += 1
+        return terms
 
-    monkeypatch.setattr(verify_mod, "generate_dci", corrupted_dci)
+    plant_in_stream(monkeypatch, increment)
 
 
 class TestPlantedDefect:
@@ -170,11 +186,17 @@ class TestPlantedDefect:
             "first: index=100 expected=2 actual=3")
         assert verify_mod.verify_valuations(100)[0].failure == Failure(100, 2, 3)
 
-    def test_sequence_a_term_short_is_reported(self, capsys, monkeypatch):
-        def short_dci(p, m):
-            return generate_dci(p, m - 1 if p == 2 else m)
+    def test_defect_past_the_first_chunks_is_reported(self, capsys, monkeypatch):
+        # Term 2^17 + 5 (v2 = 0) lies in the third chunk of the stream.
+        plant_in_v2(monkeypatch, 2**17 + 5)
+        code, out, _ = run(capsys, "verify", "valuations", "--limit", str(3 * 2**16 + 11))
+        assert code == 1
+        assert without_timing(out).splitlines()[0] == (
+            "FAIL\tdci-matches-division-oracle-p2\tcases=196619\t"
+            "first: index=131077 expected=0 actual=1")
 
-        monkeypatch.setattr(verify_mod, "generate_dci", short_dci)
+    def test_sequence_a_term_short_is_reported(self, capsys, monkeypatch):
+        plant_in_stream(monkeypatch, lambda terms: terms[:-1])
         code, out, _ = run(capsys, "verify", "valuations", "--limit", "100")
         lines = without_timing(out).splitlines()
         assert code == 1
@@ -211,8 +233,7 @@ class TestPlantedDefect:
 
     def test_constant_sequence_has_no_witness(self, capsys, monkeypatch):
         # A constant sequence survives every decimation, but no period has a witness.
-        monkeypatch.setattr(verify_mod, "generate_dci", lambda p, m: (
-            ValuationSequence(p, m, bytes(m)) if p == 2 else generate_dci(p, m)))
+        plant_in_stream(monkeypatch, lambda terms: bytes(len(terms)))
         code, out, _ = run(capsys, "verify", "fractal", "--limit", "100")
         assert code == 1
         assert [line for line in without_timing(out).splitlines()
@@ -391,6 +412,17 @@ def test_first_mismatch_equals_per_element_reference(pair, kind, start, tolerant
     same = within_one if tolerant else operator.eq
     got = verify_mod._first_mismatch(*PAIR_KINDS[kind](*pair), start=start, same=same)
     assert got == naive_first_mismatch(*PAIR_KINDS[kind](*pair), start=start, same=same)
+
+
+@given(pair=term_pairs(), cuts=st.lists(st.integers(0, 45), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_chunked_mismatch_equals_the_whole_columns(pair, cuts):
+    # The join of the chunks against the column, cut anywhere, empty chunks included.
+    expected, actual = map(bytes, pair)
+    bounds = [0, *sorted(min(c, len(actual)) for c in cuts), len(actual)]
+    chunks = [actual[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert (verify_mod._first_chunk_mismatch(expected, chunks)
+            == verify_mod._first_mismatch(expected, actual))
 
 
 def test_small_output_matches_golden(capsys):

@@ -1,9 +1,9 @@
 """OEIS b-file reading and writing, and every other text of byte terms.
 
-One "<index> <value>" pair per line, 1-based, no header.  The writer is
-bit-exact so fixtures can be byte-compared.  `write_table` writes the
-sieve table as TSV, and `write_rows` its rows and ``decimate``'s.  Only
-`_set_cells`, private to this module, decides the text of a byte term.
+One "<index> <value>" pair per line, from index 1, no header, in bytes.
+The writer is bit-exact so fixtures can be byte-compared.  `write_table`
+writes the sieve table as TSV, and `write_rows` its rows and ``decimate``'s.
+Only `_set_cells`, private to this module, decides the text of a byte term.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .sieve import SieveTable
@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 # 128 KiB mmap threshold: pieces of 64 000 indexes, fed from a stream, took
 # fresh pages for each and wrote `seq --p 2 --limit 10^8` 1.4-1.8x slower.
 _PIECE = 8_000
-_TERM_BYTES = [str(t).encode("ascii") for t in range(256)]  # the text of each byte term
+_TERM_BYTES = [b"%d" % t for t in range(256)]  # the text of each byte term
 # bytes.translate table from a byte term to its one-digit text: terms 0..9 to
 # b"0".."9", and every larger term to the placeholder 0, which is no digit.
 _TERM_DIGIT = b"0123456789" + bytes(246)
@@ -29,11 +29,11 @@ _ONE_DIGIT = bytes(range(10))  # the terms _TERM_DIGIT writes; it writes the res
 _FROM_DIGIT = bytes.maketrans(b"0123456789", _ONE_DIGIT)
 # The term of each canonical cell: 10^6 cells map through it in about 0.04 s,
 # through int() in about 0.17 s.
-_TERM_OF_TEXT = {str(t): t for t in range(256)}
-_LAST = itemgetter(-1)  # a line's last character, which must be its newline
-# Lines 000..999 of a block of integer terms, 8 characters each: \0 stands for
+_TERM_OF_TEXT = {text: t for t, text in enumerate(_TERM_BYTES)}
+_LAST = itemgetter(-1)  # a line's last byte, which must be its newline
+# Lines 000..999 of a block of integer terms, 8 bytes each: \0 stands for
 # the block's prefix and %d for the term.
-_INT_LINES = "".join(f"\0{j:03d} %d\n" for j in range(1000))
+_INT_LINES = b"".join(b"\0%03d %%d\n" % j for j in range(1000))
 
 
 def _set_cells(buf: bytearray, terms: bytes, stride: int, offset: int) -> bytes | bytearray:
@@ -62,12 +62,12 @@ def _set_cells(buf: bytearray, terms: bytes, stride: int, offset: int) -> bytes 
     return b"".join(parts)
 
 
-def format_b_file(terms: Sequence[int], start: int = 1) -> str:
+def format_b_file(terms: Sequence[int], start: int = 1) -> bytes:
     """The b-file text of ``terms``, the first at index ``start``."""
     return _format(terms, start)
 
 
-def _format(terms: Sequence[int], start: int) -> str:
+def _format(terms: Sequence[int], start: int) -> bytes:
     """`format_b_file`, under a name of its own so that the parser's use is not a write.
 
     Indexes before the first block of 1000, 1000k..1000k+999 with k >= 1,
@@ -78,28 +78,28 @@ def _format(terms: Sequence[int], start: int) -> str:
     `_INT_LINES`, with its \\0 replaced by str(k).
     """
     head = min(len(terms), max(-(-start // 1000), 1) * 1000 - start)
-    blocks = ["".join(map("{} {}\n".format, range(start, start + head), terms[:head]))]
+    blocks = [b"".join(map(b"%d %d\n".__mod__, zip(range(start, start + head), terms[:head])))]
     for j in range(head, len(terms), 1000):
         block = terms[j : j + 1000]
-        prefix = str((start + j) // 1000)
+        prefix = b"%d" % ((start + j) // 1000)
         if isinstance(block, (bytes, bytearray)):
             n, width = len(block), len(prefix) + 6
             lines = bytearray(_template(len(prefix))[: width * n])
-            for i, digit in enumerate(prefix.encode("ascii")):
+            for i, digit in enumerate(prefix):
                 lines[i::width] = bytes((digit,)) * n
-            blocks.append(_set_cells(lines, block, width, width - 2).decode("ascii"))
+            blocks.append(_set_cells(lines, block, width, width - 2))
         else:
-            blocks.append(_INT_LINES[: 8 * len(block)].replace("\0", prefix) % tuple(block))
-    return "".join(blocks)
+            blocks.append(_INT_LINES[: 8 * len(block)].replace(b"\0", prefix) % tuple(block))
+    return b"".join(blocks)
 
 
 @cache
 def _template(digits: int) -> bytes:
     """Lines 000..999 of a block of indexes whose prefix has ``digits`` digits, all set to 0."""
-    return "".join(f"{'0' * digits}{j:03d} 0\n" for j in range(1000)).encode("ascii")
+    return b"".join(b"0" * digits + b"%03d 0\n" % j for j in range(1000))
 
 
-def write_b_file(chunks: Iterable[Sequence[int]], out: TextIO) -> None:
+def write_b_file(chunks: Iterable[Sequence[int]], out: BinaryIO) -> None:
     """Write the b-file text of the terms of ``chunks``, in turn from index 1, to ``out``.
 
     The text is written a piece at a time, each piece ending before an index
@@ -149,14 +149,14 @@ def write_table(table: SieveTable, out: BinaryIO) -> None:
     write_rows(rows, b"\t", out)
 
 
-def parse_b_file(lines: Iterable[str], first: int | None = None) -> bytes | list[int]:
-    """Parse b-file lines into terms, checking the index column.
+def parse_b_file(lines: Iterable[bytes]) -> bytes | list[int]:
+    """Parse b-file lines, such as those of a file opened with ``"rb"``, into terms.
 
-    Blank lines and lines starting with ``#`` are skipped.  With ``first``
-    given, a file whose first term line has another index is refused at
-    that line, for `render`, before the rest is read.  The terms are bytes,
-    one byte a term, unless a value lies outside 0..255; from the first
-    such value on they are collected in a list.
+    Blank lines and lines starting with ``#`` are skipped.  The terms come
+    back without their indexes, so a first term line whose index is not 1,
+    such as an OEIS offset of 0, is refused, before the rest is read.  The
+    terms are bytes, one byte a term, unless a value lies outside 0..255;
+    from the first such value on they are collected in a list.
 
     `_parse_lines` defines what is accepted and every message.  The lines
     are taken one at a time up to the first term line, then in the
@@ -176,7 +176,7 @@ def parse_b_file(lines: Iterable[str], first: int | None = None) -> bytes | list
             block := list(islice(lines, 1 if expected is None else 1000 - expected % 1000))):
         values = None if expected is None else _canonical_terms(block, expected)
         if values is None:
-            terms, expected = _parse_lines(block, number, terms, expected, first)
+            terms, expected = _parse_lines(block, number, terms, expected)
         else:
             terms += values
             expected += len(values)
@@ -186,33 +186,33 @@ def parse_b_file(lines: Iterable[str], first: int | None = None) -> bytes | list
     return _parse_lines(lines, number, terms, expected)[0]
 
 
-def _canonical_terms(block: list[str], start: int) -> bytes | None:
+def _canonical_terms(block: list[bytes], start: int) -> bytes | None:
     """The byte terms of ``block`` if it is their canonical text from index ``start``, else None.
 
-    The terms are read from every second field, and accepted only if they
-    format back to the same text, with every string of ``block`` ending in
-    a newline, so that each string is one line.  This accepts exactly what
-    `write_b_file` writes: a CR, a sign, a leading zero, a comment, a
-    missing newline or a term above 255 each fail the round trip.
+    Terms below 10 from index 1000k, k >= 1, are a stepped slice of their
+    equally wide lines, other terms every second field.  They are accepted
+    only if they format back to the same text, LF or CRLF, every line of
+    ``block`` ending in its newline: a bare CR, a sign, a leading zero, a
+    comment, a missing newline or a term above 255 fails the round trip.
     """
     try:
-        text = "".join(block)
-        if "".join(map(_LAST, block)) != "\n" * len(block):
+        if bytes(map(_LAST, block)) != b"\n" * len(block):
             return None
-        cells = text.split()[1::2]
-        digits = "".join(cells)
-        if len(digits) == len(cells):
-            values = digits.encode("ascii").translate(_FROM_DIGIT)
+        text = b"".join(block)
+        if b"\r" in text:  # a CRLF file, which would otherwise go line by line, 3x slower
+            text = text.replace(b"\r\n", b"\n")
+        width = len(b"%d" % (start // 1000)) + 6  # of a line "<k>ddd t\n", t below 10
+        if len(text) == width * len(block):
+            values = text[width - 2 :: width].translate(_FROM_DIGIT)
         else:
-            values = bytes(map(_TERM_OF_TEXT.__getitem__, cells))
-    except (IndexError, KeyError, TypeError, ValueError):  # an empty string, not text or no byte term
+            values = bytes(map(_TERM_OF_TEXT.__getitem__, text.split()[1::2]))
+    except (IndexError, KeyError):  # an empty line or no byte term
         return None
     return values if len(values) == len(block) and _format(values, start) == text else None
 
 
-def _parse_lines(lines: Iterable[str], number: int, terms: bytearray | list[int],
-                 expected: int | None, first: int | None = None
-                 ) -> tuple[bytearray | list[int], int | None]:
+def _parse_lines(lines: Iterable[bytes], number: int, terms: bytearray | list[int],
+                 expected: int | None) -> tuple[bytearray | list[int], int | None]:
     """Read ``lines``, which follow line ``number``, onto ``terms``; the terms and next index.
 
     A line is first read as two integers, and only a line that is not is
@@ -224,7 +224,7 @@ def _parse_lines(lines: Iterable[str], number: int, terms: bytearray | list[int]
             idx_s, val_s = line.split()
             idx, val = int(idx_s), int(val_s)
         except ValueError:
-            line = line.strip()
+            line = line.strip().decode("ascii", "backslashreplace")
             if not line or line.startswith("#"):
                 continue
             raise ValueError(f"b-file line {number}: expected '<index> <value>' "
@@ -233,9 +233,9 @@ def _parse_lines(lines: Iterable[str], number: int, terms: bytearray | list[int]
             if expected is not None:
                 raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
                                  f"expected {expected}")
-            if first is not None and idx != first:  # an OEIS offset such as A014577's 0
+            if idx != 1:  # an OEIS offset such as A014577's 0
                 raise ValueError(f"b-file line {number}: first index {idx}, "
-                                 f"but render reads b-files from index {first}")
+                                 "but render reads b-files from index 1")
         expected = idx + 1
         try:
             append(val)

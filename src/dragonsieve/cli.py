@@ -25,9 +25,6 @@ OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
 # Desk-scale default, overridable by a flag.
 DEFAULT_RENDER_LIMIT = 10**4
 
-# The longest sequence `seq` writes: 2^32 - 1 terms, the widest sieve table.
-SEQ_MAX_LIMIT = (1 << 32) - 1
-
 # The verify suites in run order: {suite: (default, --small)}, each a mapping
 # from a verify.verify_<suite> parameter to its value.  The parameters share
 # their names with the `verify` flags that override them.
@@ -50,26 +47,29 @@ def _out_path(name: str) -> Path:
     return path
 
 
+def _to_stdout(write, *args) -> int:
+    sys.stdout.flush()  # so that no text written before comes after these bytes
+    write(*args, sys.stdout.buffer)
+    return 0
+
+
 def _cmd_seq(args) -> int:
     from .bfile import write_b_file
+    from .sieve import MAX_WIDTH
     from .valuations import dci_chunks
 
     # A stream holds about one chunk at any length, so memory bounds no limit:
     # the cap is the widest sieve table instead.
-    if args.limit > SEQ_MAX_LIMIT:
-        raise ValueError(f"seq --limit must be at most {SEQ_MAX_LIMIT}, got {args.limit}")
-    write_b_file(dci_chunks(args.p, args.limit), sys.stdout)
-    return 0
+    if args.limit > MAX_WIDTH:
+        raise ValueError(f"seq --limit must be at most {MAX_WIDTH}, got {args.limit}")
+    return _to_stdout(write_b_file, dci_chunks(args.p, args.limit))
 
 
 def _cmd_sieve(args) -> int:
     from .bfile import write_table
     from .sieve import run_sieve
 
-    table = run_sieve(args.limit)
-    sys.stdout.flush()
-    write_table(table, sys.stdout.buffer)
-    return 0
+    return _to_stdout(write_table, run_sieve(args.limit))
 
 
 def _cmd_factor(args) -> int:
@@ -104,26 +104,22 @@ def _cmd_decimate(args) -> int:
         current = decimate_terms(current, args.p)
         label = "Decimated" if args.levels == 1 else f"Decimated x{level + 1}"
         rows.append((label, current))
-    sys.stdout.flush()
-    write_rows(((f"{label}:\t".encode("ascii"), terms) for label, terms in rows), b", ",
-               sys.stdout.buffer)
-    return 0
+    return _to_stdout(write_rows, ((f"{label}:\t".encode("ascii"), terms) for label, terms in rows),
+                      b", ")
 
 
 def _cmd_levy(args) -> int:
     from .bfile import write_b_file
     from .dragons import levy_turns
 
-    write_b_file((levy_turns(args.iterations).terms,), sys.stdout)
-    return 0
+    return _to_stdout(write_b_file, (levy_turns(args.iterations).terms,))
 
 
 def _cmd_heighway(args) -> int:
     from .bfile import write_b_file
     from .dragons import heighway_turns
 
-    write_b_file((heighway_turns(args.iterations).terms,), sys.stdout)
-    return 0
+    return _to_stdout(write_b_file, (heighway_turns(args.iterations).terms,))
 
 
 def _cmd_oddpart(args) -> int:
@@ -133,8 +129,7 @@ def _cmd_oddpart(args) -> int:
     terms = reconstruct_odd_part(args.limit)
     if args.mod4:
         terms = bytes(map(and_, terms, repeat(3)))  # an odd part is positive: & 3 is mod 4
-    write_b_file((terms,), sys.stdout)
-    return 0
+    return _to_stdout(write_b_file, (terms,))
 
 
 def _cmd_render(args) -> int:
@@ -147,8 +142,8 @@ def _cmd_render(args) -> int:
     if args.from_file is not None:
         if args.limit is not None:
             raise ValueError("render --limit applies to --p, not to --from-file")
-        with open(args.from_file, encoding="ascii") as fh:
-            terms = parse_b_file(fh, first=1)
+        with open(args.from_file, "rb") as fh:
+            terms = parse_b_file(fh)
     else:
         limit = DEFAULT_RENDER_LIMIT if args.limit is None else args.limit
         terms = generate_dci(args.p, limit).terms

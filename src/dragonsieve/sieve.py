@@ -31,9 +31,9 @@ from .limits import BYTES_PER, require_memory
 from .valuations import PLUS_ONE, ValuationSequence, generate_dci
 
 _LINK = "I"  # typecode of ``rest``, which holds values up to m
-_MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
+MAX_WIDTH = (1 << 8 * array(_LINK).itemsize) - 1
 # Typecode of ``top``, which holds placed primes: `run_sieve` places none above
-# sqrt(_MAX_WIDTH) < 2^16, and `place_row` refuses one above _MAX_PRIME.
+# sqrt(MAX_WIDTH) < 2^16, and `place_row` refuses one above _MAX_PRIME.
 _PRIME = "H"
 _MAX_PRIME = (1 << 8 * array(_PRIME).itemsize) - 1
 # Entry 0 (a column no row reaches) to 1, every other entry to 0.
@@ -53,8 +53,8 @@ class SieveTable:
     def __init__(self, m: int):
         if m < 1:
             raise ValueError(f"table width must be at least 1, got {m}")
-        if m > _MAX_WIDTH:
-            raise ValueError(f"table width {m} exceeds the column store's limit {_MAX_WIDTH}")
+        if m > MAX_WIDTH:
+            raise ValueError(f"table width {m} exceeds the column store's limit {MAX_WIDTH}")
         require_memory(f"a sieve table of width {m}", BYTES_PER["sieve column"] * m)
         self.m = m
         self._primes = array(_LINK)  # the placed rows' primes

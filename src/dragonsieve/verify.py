@@ -216,8 +216,12 @@ def verify_render(limit: int) -> list[CheckReport]:
     cases = len(terms)
 
     def mod4_invariance() -> Failure | None:
-        same = all(starmap(operator.eq, zip_longest(walk(terms), walk(reduce_mod(terms, 4)))))
-        return None if same else Failure(1, "equal paths", "mismatch")
+        start = 1  # the index of a chunk's first vertex; only chunks that differ are walked
+        for whole, reduced in zip_longest(walk(terms), walk(reduce_mod(terms, 4)), fillvalue=()):
+            if whole != reduced:
+                return _first_mismatch(zip(*whole), zip(*reduced), start)
+            start += len(whole[0])
+        return None
 
     def unit_segments(angle: int) -> Failure | None:
         vertices = chain.from_iterable(starmap(zip, walk(terms, angle)))

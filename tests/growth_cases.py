@@ -87,7 +87,7 @@ def _render_file(label: str, terms_of: Callable[[int], object],
                  *flags) -> Callable[[int, Path], list[str]]:
     def argv(n: int, tmp: Path) -> list[str]:
         src = tmp / f"{label}-{n}.txt"
-        src.write_text(format_b_file(terms_of(n)))
+        src.write_bytes(format_b_file(terms_of(n)))
         return _cli("render", "--from-file", src, *flags, "-o", f"{label}-{n}.svg")
 
     return argv

@@ -13,11 +13,11 @@ from dragonsieve import bfile, format_b_file, generate_dci, parse_b_file, write_
 
 def reference_format(terms, start=1):
     """The b-file text, one line at a time."""
-    return "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=start))
+    return b"".join(b"%d %d\n" % (i, t) for i, t in enumerate(terms, start=start))
 
 
-def reference_parse(lines, first=None):
-    """The parser as it was before blocks: every line through one loop."""
+def reference_parse(lines):
+    """The parser without blocks: every line of bytes through one loop."""
     terms = bytearray()
     append = terms.append
     expected = None
@@ -26,7 +26,7 @@ def reference_parse(lines, first=None):
             idx_s, val_s = line.split()
             idx, val = int(idx_s), int(val_s)
         except ValueError:
-            line = line.strip()
+            line = line.strip().decode("ascii", "backslashreplace")
             if not line or line.startswith("#"):
                 continue
             raise ValueError(f"b-file line {number}: expected '<index> <value>' "
@@ -35,9 +35,9 @@ def reference_parse(lines, first=None):
             if expected is not None:
                 raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
                                  f"expected {expected}")
-            if first is not None and idx != first:
+            if idx != 1:
                 raise ValueError(f"b-file line {number}: first index {idx}, "
-                                 f"but render reads b-files from index {first}")
+                                 f"but render reads b-files from index 1")
         expected = idx + 1
         try:
             append(val)
@@ -48,10 +48,10 @@ def reference_parse(lines, first=None):
     return bytes(terms) if isinstance(terms, bytearray) else terms
 
 
-def outcome(parse, lines, first=None):
+def outcome(parse, lines):
     """The value and its type, or the exact message, of one parse."""
     try:
-        got = parse(lines, first)
+        got = parse(lines)
     except ValueError as exc:
         return "error", str(exc)
     return type(got), got
@@ -67,14 +67,14 @@ byte_terms = st.lists(st.one_of(st.integers(0, 9), st.integers(10, 99), st.integ
 def test_byte_blocks_format_line_by_line(pattern, n, start):
     terms = (pattern * (n // len(pattern) + 1))[:n]
     assert format_b_file(terms, start) == reference_format(terms, start)
-    out = io.StringIO()
+    out = io.BytesIO()
     with patch.object(bfile, "_PIECE", 3000):  # so that 7000 terms cross two piece ends
         write_b_file([terms], out)
     assert out.getvalue() == format_b_file(terms)
 
 
 def written_b_file(chunks):
-    out = io.StringIO()
+    out = io.BytesIO()
     write_b_file(chunks, out)
     return out.getvalue()
 
@@ -89,14 +89,20 @@ def test_chunks_write_the_text_of_their_join(size, kind):
 
 
 def test_no_chunks_and_empty_chunks_write_nothing_of_their_own():
-    assert written_b_file([]) == written_b_file([b""]) == ""
-    assert written_b_file([b"", b"\x01\x02", b"", b"\x03"]) == "1 1\n2 2\n3 3\n"
+    assert written_b_file([]) == written_b_file([b""]) == b""
+    assert written_b_file([b"", b"\x01\x02", b"", b"\x03"]) == b"1 1\n2 2\n3 3\n"
 
 
 @given(st.lists(st.integers()), st.integers(min_value=-1000, max_value=10**6))
 @settings(max_examples=100)
 def test_parse_inverts_format(terms, start):
-    assert list(parse_b_file(format_b_file(terms, start).splitlines(keepends=True))) == terms
+    assert list(parse_b_file(format_b_file(terms).splitlines(keepends=True))) == terms
+    # From any other index, the terms would come back without their offset.
+    if terms and start != 1:
+        with pytest.raises(ValueError) as exc:
+            parse_b_file(format_b_file(terms, start).splitlines(keepends=True))
+        assert str(exc.value) == (f"b-file line 1: first index {start}, "
+                                  "but render reads b-files from index 1")
 
 
 @pytest.mark.parametrize("values,want", [
@@ -115,7 +121,7 @@ def test_byte_terms_parse_to_bytes(values, want):
 
 def test_non_consecutive_index_names_its_line():
     with pytest.raises(ValueError, match="^b-file line 3: non-consecutive index 3, expected 2$"):
-        parse_b_file(["# header\n", "1 0\n", "3 0\n"])
+        parse_b_file([b"# header\n", b"1 0\n", b"3 0\n"])
 
 
 # Terms of each kind the writers take, n of them: lists and tuples take negative
@@ -134,54 +140,56 @@ _TERMS_OF_KIND = {
 @pytest.mark.parametrize("kind", list(_TERMS_OF_KIND))
 def test_block_format_equals_line_by_line(start, n, kind):
     terms = _TERMS_OF_KIND[kind](n)
-    want = "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=start))
+    want = b"".join(b"%d %d\n" % (i, t) for i, t in enumerate(terms, start=start))
     assert format_b_file(terms, start) == want
 
 
 def test_skips_comments_blank_lines_and_whitespace():
     # "# 3" and "#1 2" split into two fields but are still comments.
-    lines = ["# 3\n", "#1 2\n", "\n", "   \t\n", "1 5\r\n", "  2   -6  \r\n", "3 7"]
+    lines = [b"# 3\n", b"#1 2\n", b"\n", b"   \t\n", b"1 5\r\n", b"  2   -6  \r\n", b"3 7"]
     assert list(parse_b_file(lines)) == [5, -6, 7]
 
 
 def test_malformed_line_message_is_exact():
     with pytest.raises(ValueError) as exc:
-        parse_b_file(["1 0\n", "  2 x \r\n"])
+        parse_b_file([b"1 0\n", b"  2 x \r\n"])
     assert str(exc.value) == "b-file line 2: expected '<index> <value>' as two integers, got '2 x'"
 
 
 def test_non_consecutive_index_message_is_exact():
     with pytest.raises(ValueError) as exc:
-        parse_b_file(["0 1\r\n", "# 1 0\n", "2 0\n"])
-    assert str(exc.value) == "b-file line 3: non-consecutive index 2, expected 1"
+        parse_b_file([b"1 1\r\n", b"# 2 0\n", b"3 0\n"])
+    assert str(exc.value) == "b-file line 3: non-consecutive index 3, expected 2"
 
 
 def test_first_index_is_refused_at_its_line():
     # The lines after the first term line are never read.
-    lines = iter(["# A014577\n", "\n", "0 1\n", "1 1\n", "2 x\n"])
+    lines = iter([b"# A014577\n", b"\n", b"0 1\n", b"1 1\n", b"2 x\n"])
     with pytest.raises(ValueError) as exc:
-        parse_b_file(lines, first=1)
+        parse_b_file(lines)
     assert str(exc.value) == "b-file line 3: first index 0, but render reads b-files from index 1"
-    assert list(lines) == ["1 1\n", "2 x\n"]
-    assert list(parse_b_file(["# c\n", "1 5\n", "2 6\n"], first=1)) == [5, 6]
+    assert list(lines) == [b"1 1\n", b"2 x\n"]
+    assert list(parse_b_file([b"# c\n", b"1 5\n", b"2 6\n"])) == [5, 6]
 
 
 # 3000 lines span four parse blocks: lines 2..999, 1000..1999, 2000..2999 and 3000.
 _N = 3000
 _DEFECTS = {  # each takes a line and the next, and gives what replaces them
-    "crlf": lambda a, b: [a.replace("\n", "\r\n"), b],
-    "leading-zero": lambda a, b: [a.replace(" ", " 0"), b],
-    "plus": lambda a, b: [a.replace(" ", " +"), b],
-    "arabic-indic-digit": lambda a, b: [a.split()[0] + " \u0663\n", b],
-    "comment": lambda a, b: ["# c\n", a, b],
-    "blank": lambda a, b: ["\n", a, b],
-    "empty-string": lambda a, b: ["", a, b],
-    "above-255": lambda a, b: [a.split()[0] + " 256\n", b],
-    "negative": lambda a, b: [a.split()[0] + " -1\n", b],
+    "crlf": lambda a, b: [a.replace(b"\n", b"\r\n"), b],
+    "bare-cr": lambda a, b: [a.replace(b"\n", b"\r"), b],
+    "file-separator": lambda a, b: [a.replace(b" ", b"\x1c"), b],
+    "leading-zero": lambda a, b: [a.replace(b" ", b" 0"), b],
+    "plus": lambda a, b: [a.replace(b" ", b" +"), b],
+    "arabic-indic-digit": lambda a, b: [a.split()[0] + " \u0663\n".encode(), b],
+    "comment": lambda a, b: [b"# c\n", a, b],
+    "blank": lambda a, b: [b"\n", a, b],
+    "empty-string": lambda a, b: [b"", a, b],
+    "above-255": lambda a, b: [a.split()[0] + b" 256\n", b],
+    "negative": lambda a, b: [a.split()[0] + b" -1\n", b],
     "skipped-index": lambda a, b: [b],
-    "not-an-integer": lambda a, b: [a.split()[0] + " x\n", b],
+    "not-an-integer": lambda a, b: [a.split()[0] + b" x\n", b],
     "two-lines-in-one-string": lambda a, b: [a + b],
-    "line-split-across-strings": lambda a, b: [a + b[: b.index(" ")], b[b.index(" ") :]],
+    "line-split-across-strings": lambda a, b: [a + b[: b.index(b" ")], b[b.index(b" ") :]],
 }
 
 
@@ -191,11 +199,9 @@ _DEFECTS = {  # each takes a line and the next, and gives what replaces them
 def test_block_parse_matches_line_by_line(p, line, defect):
     lines = format_b_file(generate_dci(p, _N).terms).splitlines(keepends=True)
     lines[line - 1 : line + 1] = _DEFECTS[defect](*lines[line - 1 : line + 1])
-    text = "".join(lines)  # as a file, the strings are split at each newline again
-    for first in (None, 1):
-        assert outcome(parse_b_file, lines, first) == outcome(reference_parse, lines, first)
-        assert (outcome(parse_b_file, io.StringIO(text), first)
-                == outcome(reference_parse, io.StringIO(text), first))
+    text = b"".join(lines)  # as a file, the strings are split at each newline again
+    assert outcome(parse_b_file, lines) == outcome(reference_parse, lines)
+    assert outcome(parse_b_file, io.BytesIO(text)) == outcome(reference_parse, io.BytesIO(text))
 
 
 @pytest.mark.parametrize("n", [1000, 1999, 2000])  # the last block one line long, or a full 1000
@@ -206,7 +212,77 @@ def test_block_parse_of_a_cut_file_matches_line_by_line(n):
         want = outcome(reference_parse, lines)
         assert want[0] is bytes
         assert outcome(parse_b_file, lines) == want
-        assert outcome(parse_b_file, io.StringIO(cut)) == want
+        assert outcome(parse_b_file, io.BytesIO(cut)) == want
+
+
+def _inserted(line, piece, draw):
+    """``line`` with ``piece`` inserted at a drawn position."""
+    i = draw(st.integers(0, len(line)))
+    return line[:i] + piece + line[i:]
+
+
+# Damage to one line of a b-file: each takes the line and a draw, and gives what replaces it.
+_DAMAGE = {
+    "crlf": lambda line, draw: [line.replace(b"\n", b"\r\n")],
+    "bare-cr": lambda line, draw: [_inserted(line, b"\r", draw)],
+    "cr-for-lf": lambda line, draw: [line.replace(b"\n", b"\r")],
+    "separator": lambda line, draw: [
+        line.replace(b" ", draw(st.sampled_from([b"\x1c", b"\x1d", b"\x1e", b"\x1f"])))],
+    "non-ascii": lambda line, draw: [_inserted(line, bytes([draw(st.integers(0x80, 0xFF))]), draw)],
+    "bom": lambda line, draw: [b"\xef\xbb\xbf" + line],
+    "sign": lambda line, draw: [_inserted(line, draw(st.sampled_from([b"+", b"-"])), draw)],
+    "leading-zero": lambda line, draw: [
+        draw(st.sampled_from([b"0", b""])) + line.replace(b" ", draw(st.sampled_from([b" 0", b" "])))],
+    "underscore": lambda line, draw: [line.replace(b" ", b" 1_")],
+    "comment": lambda line, draw: [draw(st.sampled_from([b"# c\n", b"#1 2\n", b" # 3\r\n"])), line],
+    "blank": lambda line, draw: [draw(st.sampled_from([b"\n", b" \t\n", b"\r\n", b""])), line],
+    "index": lambda line, draw: [b"%d " % draw(st.integers(-1, 3000)) + line.split(b" ", 1)[1]],
+    "above-255": lambda line, draw: [line.split()[0] + b" %d\n" % draw(st.integers(256, 2**70))],
+    "dropped": lambda line, draw: [],
+    "no-newline": lambda line, draw: [line.rstrip(b"\n")],
+    "any-bytes": lambda line, draw: [draw(st.binary(max_size=8))],
+}
+
+
+@st.composite
+def damaged_b_files(draw):
+    """The lines of a b-file of up to 2600 terms, from index 1, with up to three lines damaged."""
+    pattern = draw(st.one_of(st.binary(min_size=1, max_size=30).map(lambda b: bytes(x % 10 for x in b)),
+                             byte_terms))
+    n = draw(st.integers(0, 2600))
+    lines = format_b_file((pattern * (n // len(pattern) + 1))[:n]).splitlines(keepends=True)
+    if draw(st.booleans()):
+        lines = [line.replace(b"\n", b"\r\n") for line in lines]
+    if lines:
+        positions = draw(st.lists(st.integers(0, len(lines) - 1), max_size=3, unique=True))
+        for i in sorted(positions, reverse=True):
+            lines[i : i + 1] = _DAMAGE[draw(st.sampled_from(sorted(_DAMAGE)))](lines[i], draw)
+    return lines
+
+
+@given(damaged_b_files())
+@settings(max_examples=500, deadline=None)
+def test_parse_equals_the_line_by_line_reference(lines):
+    assert outcome(parse_b_file, lines) == outcome(reference_parse, lines)
+    text = b"".join(lines)  # as a file, the strings are split at each newline again
+    assert outcome(parse_b_file, io.BytesIO(text)) == outcome(reference_parse, io.BytesIO(text))
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_file_is_read_in_blocks(monkeypatch, newline):
+    # Only the first line, which is read on its own, goes through the line-by-line loop.
+    read = []
+    real = bfile._parse_lines
+
+    def recording(lines, *args):
+        lines = list(lines)
+        read.extend(lines)
+        return real(lines, *args)
+
+    monkeypatch.setattr(bfile, "_parse_lines", recording)
+    terms = generate_dci(2, _N).terms
+    assert parse_b_file(io.BytesIO(format_b_file(terms).replace(b"\n", newline))) == terms
+    assert read == [b"1 0" + newline]
 
 
 def test_parse_never_calls_the_public_formatter(monkeypatch):
@@ -216,7 +292,7 @@ def test_parse_never_calls_the_public_formatter(monkeypatch):
 
     text = format_b_file(generate_dci(2, _N).terms)
     monkeypatch.setattr(bfile, "format_b_file", refuse)
-    assert parse_b_file(io.StringIO(text)) == generate_dci(2, _N).terms
+    assert parse_b_file(io.BytesIO(text)) == generate_dci(2, _N).terms
 
 
 def cells_text(terms, stride, offset):

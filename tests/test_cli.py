@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dragonsieve import format_b_file, levy_turns, primes_by_trial_division, sieve, verify
-from dragonsieve.cli import SEQ_MAX_LIMIT, SUITES, build_parser, main
+from dragonsieve.cli import SUITES, build_parser, main
 from dragonsieve.limits import BYTES_PER
 from dragonsieve.valuations import valuations_by_division
 
@@ -162,7 +162,7 @@ class TestSequenceCommands:
         # 2**17 - 1 terms cross the writer's chunk boundaries.
         code, out, _ = run(capsys, "levy", "--iterations", "16")
         assert code == 0
-        assert out == format_b_file(levy_turns(16).terms)
+        assert out.encode() == format_b_file(levy_turns(16).terms)
 
     def test_oddpart(self, capsys):
         code, out, _ = run(capsys, "oddpart", "--limit", "6")
@@ -236,15 +236,24 @@ class TestRenderCommand:
         assert code == 0
         assert (tmp_path / "nested" / "out.svg").exists()
 
-    @pytest.mark.parametrize("line", ["2 1 7", "2", "2 x"])
-    def test_malformed_b_file_line_is_usage_error(self, capsys, tmp_path, line):
+    @pytest.mark.parametrize("line,quoted", [
+        (b"2 1 7", "'2 1 7'"),
+        (b"2", "'2'"),
+        (b"2 x", "'2 x'"),
+        # A byte that is not ASCII is quoted as an escape; neither \x1c nor a
+        # bare CR separates fields or lines.
+        (b"2 \xd9\xa3", r"'2 \\xd9\\xa3'"),
+        (b"2\x1c1", r"'2\x1c1'"),
+        (b"2 1\r3 0", r"'2 1\r3 0'"),
+    ], ids=["2 1 7", "2", "2 x", "non-ascii", "file-separator", "bare-cr"])
+    def test_malformed_b_file_line_is_usage_error(self, capsys, tmp_path, line, quoted):
         src = tmp_path / "terms.bfile"
-        src.write_text(f"# header\n1 0\n{line}\n3 0\n")
+        src.write_bytes(b"# header\n1 0\n" + line + b"\n3 0\n")
         out_file = tmp_path / "curve.svg"
         code, out, err = run(capsys, "render", "--from-file", str(src), "-o", str(out_file))
         assert (code, out) == (2, "")
         assert err == (f"error: b-file line 3: expected '<index> <value>' "
-                       f"as two integers, got '{line}'\n")
+                       f"as two integers, got {quoted}\n")
         assert not out_file.exists()
 
     @pytest.mark.parametrize("text,line,index", [
@@ -279,7 +288,7 @@ class TestRenderCommand:
         # A term of 256 makes the parse a list of ints.  10^4 terms need the bytes each is
         # held in, plus a chunk vertex's bytes for each of 8192 vertices, and not a byte less.
         src = tmp_path / "terms.bfile"
-        src.write_text(format_b_file([head] + [1] * 9999))
+        src.write_bytes(format_b_file([head] + [1] * 9999))
         argv = ("render", "--from-file", str(src), "-o", str(tmp_path / "x.svg"))
         need = BYTES_PER[held] * 10**4 + BYTES_PER["svg chunk vertex"] * 8192
         page = os.sysconf("SC_PAGE_SIZE")
@@ -312,7 +321,7 @@ class TestRenderCommand:
     def test_rejected_from_file_writes_nothing(self, capsys, tmp_path, report_physical_memory,
                                                flags, memory, message):
         src = tmp_path / "terms.bfile"
-        src.write_text(format_b_file(bytes(1000)))
+        src.write_bytes(format_b_file(bytes(1000)))
         if memory:
             report_physical_memory(memory)
         out_file = tmp_path / "sub" / "x.svg"
@@ -444,13 +453,13 @@ class TestSequenceSizeGuards:
     def test_seq_streams_past_physical_memory(self, capsys, report_physical_memory):
         # `seq` holds about one chunk of its 200000 terms, so 64 KiB refuses nothing.
         _, want, _ = run(capsys, "seq", "--p", "2", "--limit", "200000")
-        assert want == format_b_file(valuations_by_division(2, 200000))
+        assert want.encode() == format_b_file(valuations_by_division(2, 200000))
         report_physical_memory(2**16)
         assert run(capsys, "seq", "--p", "2", "--limit", "200000") == (0, want, "")
 
     @pytest.mark.parametrize("limit", [2**32, 10**12])
     def test_seq_longer_than_the_widest_sieve_table_is_usage_error(self, capsys, limit):
-        assert SEQ_MAX_LIMIT == 2**32 - 1 == sieve._MAX_WIDTH
+        assert sieve.MAX_WIDTH == 2**32 - 1
         code, out, err = run(capsys, "seq", "--p", "2", "--limit", str(limit))
         assert (code, out) == (2, "")
         assert err == f"error: seq --limit must be at most {2**32 - 1}, got {limit}\n"
@@ -470,16 +479,16 @@ class TestClosedStdout:
 
     def test_pipe_closed_after_the_first_line(self):
         # 14 MB of text: the writes fill the pipe long before the last one.
-        proc = start("seq", "--p", "2", "--limit", str(10**6))
-        assert proc.stdout.readline() == b"1 0\n"
-        proc.stdout.close()
-        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+        with start("seq", "--p", "2", "--limit", str(10**6)) as proc:
+            assert proc.stdout.readline() == b"1 0\n"
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
 
     def test_pipe_closed_before_the_output(self):
         # The JSON line stays in the buffer until `main` flushes it.
-        proc = start("factor", "24")
-        proc.stdout.close()
-        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+        with start("factor", "24") as proc:
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
 
 
 def test_memory_error_is_usage_error():

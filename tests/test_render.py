@@ -421,10 +421,14 @@ class TestRenderedDocuments:
          "adaae94da1e27ffbc6ba6fb71ec7e90672346ce623e13b8600c831a17eb957fe"),
         (["--from-file", "heighway16.bfile", "--angle", "120"],
          "c85b24023ed6cebc0d5e3a5fcceb05764648b0e12dd829c13176d2aa06086196"),
-    ], ids=["v3-90", "v2-mod4-60", "v3-mod5-72", "heighway-file-120"])
+        (["--from-file", "heighway16-crlf.bfile", "--angle", "120"],
+         "c85b24023ed6cebc0d5e3a5fcceb05764648b0e12dd829c13176d2aa06086196"),
+    ], ids=["v3-90", "v2-mod4-60", "v3-mod5-72", "heighway-file-120", "heighway-crlf-file-120"])
     def test_render_is_byte_identical(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "heighway16.bfile").write_text(format_b_file(heighway_turns(16).terms))
+        text = format_b_file(heighway_turns(16).terms)
+        (tmp_path / "heighway16.bfile").write_bytes(text)
+        (tmp_path / "heighway16-crlf.bfile").write_bytes(text.replace(b"\n", b"\r\n"))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["render", *argv, "-o", "out.svg"]) == 0
         assert hashlib.sha256((tmp_path / "out.svg").read_bytes()).hexdigest() == digest

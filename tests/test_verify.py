@@ -11,6 +11,7 @@ import importlib.util
 import operator
 import re
 import sys
+from itertools import chain, starmap
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import dragonsieve.valuations as valuations_mod
 import dragonsieve.verify as verify_mod
 from dragonsieve import (
     Failure,
+    generate_dci,
     heighway_turns,
     levy_turns,
     read_factorization,
@@ -28,6 +30,7 @@ from dragonsieve import (
     run_sieve,
 )
 from dragonsieve.cli import main
+from dragonsieve.render import reduce_mod, walk
 from dragonsieve.valuations import CHUNK_TERMS, odd_parts_by_division
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -362,6 +365,27 @@ class TestPlantedOddPartDefect:
             "FAIL\todd-part-reconstruction\tcases=100\tfirst: index=100 expected=None actual=25",
             "FAIL\todd-even-decomposition-identity\tcases=100\t"
             "first: index=100 expected=(100, 1) actual=None"]
+
+
+def test_planted_render_defect_names_the_first_vertex_apart(capsys, monkeypatch):
+    # Term 9000 of v2, 3, turns one unit more once reduced: the walks part at
+    # vertex 9002, in the second chunk of 8192 vertices.
+    def corrupted(terms, modulus):
+        out = bytearray(reduce_mod(terms, modulus))
+        out[8999] += 1
+        return bytes(out)
+
+    monkeypatch.setattr(verify_mod, "reduce_mod", corrupted)
+    code, out, _ = run(capsys, "verify", "render", "--limit", "10000")
+    assert code == 1
+    assert without_timing(out).splitlines()[0] == (
+        "FAIL\tmod4-trace-invariance-90deg\tcases=10000\t"
+        "first: index=9002 expected=(60, -145) actual=(61, -144)")
+    # The two vertices, read off the walks one vertex at a time.
+    terms = generate_dci(2, 10000).terms
+    vertex = [list(chain.from_iterable(starmap(zip, walk(t))))[9001]
+              for t in (terms, corrupted(terms, 4))]
+    assert vertex == [(60, -145), (61, -144)]
 
 
 def naive_first_mismatch(expected, actual, start=1, same=operator.eq):

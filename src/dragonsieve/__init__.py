@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     "CheckReport": "verify",
     "Failure": "verify",
-    "PolylinePath": "render",
     "SieveTable": "sieve",
     "TurnSequence": "dragons",
     "ValuationSequence": "valuations",

@@ -234,8 +234,7 @@ def _parse_lines(lines: Iterable[bytes], number: int, terms: bytearray | list[in
                 raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
                                  f"expected {expected}")
             if idx != 1:  # an OEIS offset such as A014577's 0
-                raise ValueError(f"b-file line {number}: first index {idx}, "
-                                 "but render reads b-files from index 1")
+                raise ValueError(f"b-file line {number}: first index {idx}, expected 1")
         expected = idx + 1
         try:
             append(val)

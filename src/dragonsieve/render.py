@@ -5,38 +5,39 @@ the unit's order around the circle (finite for every float or fraction
 angle), so rotation never accumulates floating error.  At 90 and 180
 degrees the walk stays on the integer lattice and coordinates are exact.
 
-One generator, `walk`, walks the terms, ``CHUNK`` vertices at a time, as
-an x column and a y column.  No vertex is visited by Python bytecode: headings
-are a running sum of the turns reduced by the order, unit vectors come from
-per-axis tables (exact ints on the lattice, filled lazily elsewhere and
-emptied once they hold more than a chunk's headings), and coordinates are
-running sums of the unit vectors, so every float addition is the one a
-per-vertex loop would make, in the same order.  `trace` keeps
-the vertices as a `PolylinePath`, which `to_svg` renders.  `write_svg`
-writes the same document without keeping them: it walks once for the
-bounding box and once more for the points.  ``verify`` reads the walk's
-chunks as `write_svg` does.
+A walk has one representation, the generator `walk`: the vertices,
+``CHUNK`` at a time, as an x column and a y column.  No vertex is visited
+by Python bytecode: headings are a running sum of the turns reduced by the
+order, unit vectors come from per-axis tables (exact ints on the lattice,
+filled lazily elsewhere and emptied once they hold more than a chunk's
+headings), and coordinates are running sums of the unit vectors, so every
+float addition is the one a per-vertex loop would make, in the same order.
+`trace`, `write_svg` and `to_svg` are views of its chunks: the vertices one
+at a time, the SVG document written to a stream (one walk for the bounding
+box, one more for the points), and that document as a string, the one view
+that holds more than a chunk.  ``verify`` reads the chunks as `write_svg` does.
 
 Formatting the points runs bytecode once per distinct coordinate of a
 chunk, not per vertex: each axis has a memo from a coordinate to its text,
 shifted into the viewBox and formatted by its type, an int as
 ``"%d.000000"`` (the text ``"%.6f"`` gives its float) and any other number
-as ``"%.6f"``.  Only `walk` knows the lattice: the formatter, `trace`
-and `to_svg` see ints or floats and nothing else.  The memo is emptied
-after every chunk, and the chunk's points are one join of its texts with
-``","`` and ``" "`` already in place between them.  A walk that seldom
-repeats a coordinate within a chunk (a straight run, v2 at 72 degrees, v3
-at 120) pays for a dict miss per vertex, and formats more slowly than one
-``%`` per chunk of a per-vertex format would.
+as ``"%.6f"``.  Only `walk` knows the lattice: the formatter sees ints or
+floats and nothing else.  The memo is emptied after every chunk, and the
+chunk's points are one join of its texts with ``","`` and ``" "`` already
+in place between them.  A walk that seldom repeats a coordinate within a
+chunk (a straight run, v2 at 72 degrees, v3 at 120) pays for a dict miss
+per vertex, and formats more slowly than one ``%`` per chunk of a
+per-vertex format would.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import mod, neg
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .limits import BYTES_PER, require_memory
 
@@ -56,18 +57,12 @@ CHUNK = 1 << 13
 MARGIN = 8
 
 
-class PolylinePath(NamedTuple):
-    """Vertices of a traced walk; one more vertex than input terms."""
-
-    vertices: tuple[tuple[float, float], ...]
-
-
 def trace(
     terms: Sequence[int],
     angle: float | int | Fraction = 90,
     mapping: str = CCW_COUNT,
     clockwise: bool = False,
-) -> PolylinePath:
+) -> Iterator[tuple[float, float]]:
     """Walk the terms: draw a unit segment, turn at the arrival point, repeat.
 
     ``angle`` is the turn unit in degrees (0 < angle <= 180).  Under
@@ -75,11 +70,13 @@ def trace(
     ``categorical-mod4`` terms select right / none / left / about-face.
     ``clockwise`` flips chirality.  The turtle starts at the origin heading
     +x.  Move first, then turn: term n is the turn applied at arrival point n.
+
+    The arguments are checked at the call.  The result is an iterator over
+    the ``(x, y)`` vertices, the origin first, one more than the terms;
+    it holds one chunk of `walk` at a time.
     """
     _check_walk(terms, angle, mapping)
-    require_memory(f"a trace of {len(terms)} terms", BYTES_PER["trace term"] * len(terms))
-    columns = walk(terms, angle, mapping, clockwise)
-    return PolylinePath(tuple(chain.from_iterable(starmap(zip, columns))))
+    return chain.from_iterable(starmap(zip, walk(terms, angle, mapping, clockwise)))
 
 
 def write_svg(
@@ -91,7 +88,12 @@ def write_svg(
     *,
     stroke_width: float = 1.0,
 ) -> None:
-    """Write ``to_svg(trace(terms, angle, mapping, clockwise))`` to the open stream ``out``.
+    """Write the walk of `trace` as a standalone SVG 1.1 document to the open stream ``out``.
+
+    The document has one polyline.  The viewBox is fitted to the bounding
+    box plus ``MARGIN``; the y axis is flipped so counterclockwise in math
+    coordinates reads counterclockwise on screen.  Coordinates carry 6
+    decimal places.
 
     The walk runs twice: once for the bounding box, then again for the
     points, written ``CHUNK`` vertices at a time, each distinct coordinate
@@ -107,7 +109,8 @@ def check_svg(terms: Sequence[int], angle: float | int | Fraction, mapping: str,
               stroke_width: float) -> None:
     """Raise ValueError unless `write_svg` takes these arguments and fits in memory."""
     _check_walk(terms, angle, mapping)
-    _check_stroke_width(stroke_width)
+    if not 0 < stroke_width < math.inf:
+        raise ValueError(f"stroke width must be finite and above 0, got {stroke_width}")
     held = "svg byte term" if isinstance(terms, (bytes, bytearray)) else "svg list term"
     require_memory(f"a trace of {len(terms)} terms", BYTES_PER[held] * len(terms)
                    + BYTES_PER["svg chunk vertex"] * min(len(terms) + 1, CHUNK))
@@ -121,11 +124,6 @@ def _check_walk(terms: Sequence[int], angle: float | int | Fraction, mapping: st
         raise ValueError(f"angle must be within (0, 180], got {angle}")
     if mapping not in (CCW_COUNT, CATEGORICAL_MOD4):
         raise ValueError(f"unknown mapping {mapping!r}")
-
-
-def _check_stroke_width(stroke_width: float) -> None:
-    if not 0 < stroke_width < math.inf:
-        raise ValueError(f"stroke width must be finite and above 0, got {stroke_width}")
 
 
 def walk(
@@ -192,25 +190,24 @@ class _AxisTable(dict):
         return value
 
 
-def to_svg(path: PolylinePath, *, stroke_width: float = 1.0) -> str:
-    """Render the path as a standalone SVG 1.1 document with one polyline.
+def to_svg(
+    terms: Sequence[int],
+    angle: float | int | Fraction = 90,
+    mapping: str = CCW_COUNT,
+    clockwise: bool = False,
+    *,
+    stroke_width: float = 1.0,
+) -> str:
+    """Return the document that `write_svg` writes, as a string.
 
-    The viewBox is fitted to the bounding box plus ``MARGIN``; the y axis is
-    flipped so counterclockwise in math coordinates reads counterclockwise
-    on screen.  Coordinates carry 6 decimal places.
+    Before the walk, the text is charged an svg text vertex's figure for
+    each vertex (see `dragonsieve.limits`).
     """
-    vertices = path.vertices
-    if not vertices:
-        raise ValueError("cannot render an empty path")
-    _check_stroke_width(stroke_width)
-    box = _bounds(_columns(vertices))
-    return "".join(_svg_text(_columns(vertices), box, stroke_width))
-
-
-def _columns(vertices: Sequence[tuple[float, float]]) -> Iterator[Iterator[tuple]]:
-    """The vertices as ``(xs, ys)`` columns, ``CHUNK`` at a time, as `walk` yields them."""
-    for i in range(0, len(vertices), CHUNK):
-        yield zip(*vertices[i : i + CHUNK])
+    require_memory(f"the SVG text of {len(terms)} terms",
+                   BYTES_PER["svg text vertex"] * (len(terms) + 1))
+    out = io.StringIO()
+    write_svg(terms, out, angle, mapping, clockwise, stroke_width=stroke_width)
+    return out.getvalue()
 
 
 def _bounds(columns: Iterable[tuple[Sequence, Sequence]]) -> tuple[float, float, float, float]:

@@ -211,7 +211,8 @@ def verify_heighway(iterations: int) -> list[CheckReport]:
 
 
 def verify_render(limit: int) -> list[CheckReport]:
-    # Every walk is read a chunk of vertices at a time, as `write_svg` reads it.
+    # Every walk is read a chunk at a time, as `write_svg` reads it, and not through `trace`,
+    # whose result has no `.vertices` for perfbench/tracer.py to count in a traced run.
     terms = generate_dci(2, limit).terms
     cases = len(terms)
 

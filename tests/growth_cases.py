@@ -1,7 +1,7 @@
 """Each memory figure of `dragonsieve.limits.BYTES_PER`, against the growth it bounds.
 
 A case runs one command in a fresh child: a CLI command, or ``python -c``
-for `trace`, and for `generate_dci`, which `seq` streams in its place.
+for `to_svg`, and for `generate_dci`, which `seq` streams in its place.
 Its growth is the child's peak RSS less that of a tiny run of the same
 command, and it must not exceed what the command's guard charges at that
 size, or, for `seq`, a fixed bound that no figure charges.
@@ -56,11 +56,12 @@ print(usage.ru_maxrss)
 sys.exit(os.waitstatus_to_exitcode(status))
 """
 
-_TRACE = """\
+# Turns of 1 and 3 units at 90 degrees: a staircase whose x and y both grow
+# with the walk, so each vertex has two coordinates as wide as any at its size.
+_TO_SVG = """\
 import sys
-from dragonsieve.render import to_svg, trace
-from dragonsieve.valuations import generate_dci
-to_svg(trace(generate_dci(3, int(sys.argv[1])).terms))
+from dragonsieve.render import to_svg
+to_svg(bytes([1, 3]) * (int(sys.argv[1]) // 2))
 """
 
 _DCI = """\
@@ -128,8 +129,8 @@ CASES = (
     Case("decimate", "decimated term",
          lambda n, _: _cli("decimate", "--p", 2, "--levels", 3, "--limit", n),
          _per("decimated term"), (MILLION, 2 * MILLION), runs=5),
-    Case("trace", "trace term", lambda n, _: ["-c", _TRACE, str(n)],
-         _per("trace term"), (MILLION, 2 * MILLION)),
+    Case("to_svg", "svg text vertex", lambda n, _: ["-c", _TO_SVG, str(n)],
+         lambda n: BYTES_PER["svg text vertex"] * (n + 1), (MILLION, 2 * MILLION)),
     Case("render-p", "svg byte term",
          lambda n, _: _cli("render", "--p", 2, "--limit", n, "-o", f"p-{n}.svg"),
          _svg("svg byte term"), (MILLION, 2 * MILLION)),

@@ -36,8 +36,7 @@ def reference_parse(lines):
                 raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
                                  f"expected {expected}")
             if idx != 1:
-                raise ValueError(f"b-file line {number}: first index {idx}, "
-                                 f"but render reads b-files from index 1")
+                raise ValueError(f"b-file line {number}: first index {idx}, expected 1")
         expected = idx + 1
         try:
             append(val)
@@ -101,8 +100,7 @@ def test_parse_inverts_format(terms, start):
     if terms and start != 1:
         with pytest.raises(ValueError) as exc:
             parse_b_file(format_b_file(terms, start).splitlines(keepends=True))
-        assert str(exc.value) == (f"b-file line 1: first index {start}, "
-                                  "but render reads b-files from index 1")
+        assert str(exc.value) == f"b-file line 1: first index {start}, expected 1"
 
 
 @pytest.mark.parametrize("values,want", [
@@ -167,7 +165,7 @@ def test_first_index_is_refused_at_its_line():
     lines = iter([b"# A014577\n", b"\n", b"0 1\n", b"1 1\n", b"2 x\n"])
     with pytest.raises(ValueError) as exc:
         parse_b_file(lines)
-    assert str(exc.value) == "b-file line 3: first index 0, but render reads b-files from index 1"
+    assert str(exc.value) == "b-file line 3: first index 0, expected 1"
     assert list(lines) == [b"1 1\n", b"2 x\n"]
     assert list(parse_b_file([b"# c\n", b"1 5\n", b"2 6\n"])) == [5, 6]
 

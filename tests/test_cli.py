@@ -266,8 +266,7 @@ class TestRenderCommand:
         out_file = tmp_path / "sub" / "x.svg"
         code, out, err = run(capsys, "render", "--from-file", str(src), "-o", str(out_file))
         assert (code, out) == (2, "")
-        assert err == (f"error: b-file line {line}: first index {index}, "
-                       "but render reads b-files from index 1\n")
+        assert err == f"error: b-file line {line}: first index {index}, expected 1\n"
         assert not out_file.parent.exists()
 
     def test_b_file_is_refused_at_its_first_term_line(self, capsys, tmp_path):
@@ -278,8 +277,7 @@ class TestRenderCommand:
         code, out, err = run(capsys, "render", "--from-file", str(src), "-o",
                              str(tmp_path / "x.svg"))
         assert (code, out) == (2, "")
-        assert err == ("error: b-file line 1: first index 0, "
-                       "but render reads b-files from index 1\n")
+        assert err == "error: b-file line 1: first index 0, expected 1\n"
 
     @pytest.mark.parametrize("head,held", [(0, "svg byte term"), (256, "svg list term")],
                              ids=["bytes", "list"])

@@ -25,7 +25,7 @@ from dragonsieve import (
 from dragonsieve import render
 from dragonsieve.cli import main
 from dragonsieve.limits import BYTES_PER
-from dragonsieve.render import CHUNK, PolylinePath, reduce_mod
+from dragonsieve.render import CHUNK, reduce_mod
 
 # CCW quarter-turn rotation applied h times, for lattice normalization.
 def _rot(v, h):
@@ -39,9 +39,9 @@ def _rot(v, h):
 _LATTICE_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _heading(path, s):
+def _heading(vertices, s):
     """Heading of 0-based segment s, from its vector vertices[s+1] - vertices[s]."""
-    (x0, y0), (x1, y1) = path.vertices[s], path.vertices[s + 1]
+    (x0, y0), (x1, y1) = vertices[s], vertices[s + 1]
     return _LATTICE_UNITS.index((x1 - x0, y1 - y0))
 
 
@@ -148,22 +148,19 @@ def _memo_misses(terms, angle):
 
 class TestTrace:
     def test_golden_v2_prefix(self):
-        path = trace((0, 1, 0, 2), 90)
-        assert path.vertices == ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
+        vertices = tuple(trace((0, 1, 0, 2), 90))
+        assert vertices == ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
         # double turn at the last point reverses the heading
-        assert tuple(_heading(path, s) for s in range(4)) == (0, 0, 1, 1)
+        assert tuple(_heading(vertices, s) for s in range(4)) == (0, 0, 1, 1)
 
     def test_all_zero_terms_stay_collinear(self):
-        path = trace((0,) * 6, 72)
-        for k, (x, y) in enumerate(path.vertices):
+        for k, (x, y) in enumerate(trace((0,) * 6, 72)):
             assert abs(x - k) < 1e-12 and abs(y) < 1e-12
 
     def test_categorical_single_left_turn(self):
-        path = trace((2,), 90, "categorical-mod4")
-        assert path.vertices == ((0, 0), (1, 0))
+        assert tuple(trace((2,), 90, "categorical-mod4")) == ((0, 0), (1, 0))
         # turn applied after the only move; a second term would head north
-        path2 = trace((2, 0), 90, "categorical-mod4")
-        assert path2.vertices == ((0, 0), (1, 0), (1, 1))
+        assert tuple(trace((2, 0), 90, "categorical-mod4")) == ((0, 0), (1, 0), (1, 1))
 
     def test_rejects_empty_program(self):
         with pytest.raises(ValueError):
@@ -180,8 +177,8 @@ class TestTrace:
         # 0.01 and 90.1 are binary floats whose order runs far past 2**16.
         assert (360 / Fraction(angle)).numerator > 2**16 or angle == 72
         terms = generate_dci(3, 3000).terms
-        path = trace(terms, angle, clockwise=clockwise)
-        assert path.vertices == _unreduced_walk(terms, angle, clockwise)
+        vertices = tuple(trace(terms, angle, clockwise=clockwise))
+        assert vertices == _unreduced_walk(terms, angle, clockwise)
 
     def test_rejects_unknown_mapping(self):
         with pytest.raises(ValueError, match="unknown mapping 'spin'"):
@@ -192,59 +189,70 @@ class TestTrace:
         for _ in range(100):
             terms = tuple(rng.randrange(6) for _ in range(rng.randrange(1, 40)))
             angle = rng.choice([90, 60, 120, 135, 45, 30])
-            path = trace(terms, angle)
-            assert len(path.vertices) == len(terms) + 1
+            assert len(tuple(trace(terms, angle))) == len(terms) + 1
 
     @pytest.mark.parametrize("angle", [60, 120, 135, 150, 36])
     def test_unit_segment_lengths(self, angle):
         terms = generate_dci(2, 500).terms
-        path = trace(terms, angle)
-        for (x0, y0), (x1, y1) in zip(path.vertices, path.vertices[1:]):
+        vertices = tuple(trace(terms, angle))
+        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
             assert abs(math.hypot(x1 - x0, y1 - y0) - 1.0) < 1e-9
 
     def test_mod4_reduction_invariance_exact(self):
         terms = generate_dci(2, 2000).terms
-        full = trace(terms, 90)
-        reduced = trace(reduce_mod(terms, 4), 90)
-        assert full.vertices == reduced.vertices
+        assert tuple(trace(terms, 90)) == tuple(trace(reduce_mod(terms, 4), 90))
 
     def test_mod3_reduction_invariance_at_120(self):
         terms = generate_dci(2, 500).terms
-        full = trace(terms, 120).vertices
-        reduced = trace(reduce_mod(terms, 3), 120).vertices
+        full = tuple(trace(terms, 120))
+        reduced = tuple(trace(reduce_mod(terms, 3), 120))
         assert len(full) == len(reduced)
         assert all(math.dist(a, b) <= 1e-9 for a, b in zip(full, reduced))
 
     def test_clockwise_mirrors(self):
         terms = (0, 1, 0, 2)
-        ccw = trace(terms, 90)
-        cw = trace(terms, 90, clockwise=True)
-        assert cw.vertices == tuple((x, -y) for x, y in ccw.vertices)
+        ccw = tuple(trace(terms, 90))
+        cw = tuple(trace(terms, 90, clockwise=True))
+        assert cw == tuple((x, -y) for x, y in ccw)
 
     def test_spike_blocks_are_congruent(self):
         # Between consecutive multiples of 8, the walk repeats one T-shaped
         # template up to rotation.
-        template = trace((0, 1, 0, 2, 0, 1, 0), 90).vertices
-        path = trace(generate_dci(2, 64).terms, 90)
+        template = tuple(trace((0, 1, 0, 2, 0, 1, 0), 90))
+        vertices = tuple(trace(generate_dci(2, 64).terms, 90))
         for k in range(8):
             s = 8 * k
-            h = _heading(path, s)
-            ox, oy = path.vertices[s]
+            h = _heading(vertices, s)
+            ox, oy = vertices[s]
             window = tuple(
-                _rot((x - ox, y - oy), -h) for x, y in path.vertices[s : s + 8]
+                _rot((x - ox, y - oy), -h) for x, y in vertices[s : s + 8]
             )
             assert window == template
+
+    def test_peak_memory_does_not_grow_with_the_walk(self, traced_peak, monkeypatch):
+        # The vertices stream: no more than a chunk of the walk is held at a time.
+        # At an eighth of CHUNK, an eighth of the terms spans as many chunks.
+        monkeypatch.setattr(render, "CHUNK", CHUNK // 8)
+        short, long = 10**5 // 8, 4 * 10**5 // 8
+
+        def peak(terms):
+            count, _, top = traced_peak(lambda: sum(1 for _ in trace(terms, 120)))
+            assert count == len(terms) + 1
+            return top
+
+        assert peak(generate_dci(2, long).terms) < 2 * peak(generate_dci(2, short).terms)
+        rng = random.Random(0)
+        assert peak(rng.randbytes(long)) < 2 * peak(rng.randbytes(short))
 
 
 class TestToSvg:
     def test_single_segment_points(self):
-        path = trace((0,), 90)
-        svg = to_svg(path)
+        svg = to_svg((0,), 90)
         assert 'viewBox="0 0 17.000000 16.000000"' in svg
         assert 'points="8.000000,8.000000 9.000000,8.000000"' in svg
 
     def test_document_shape(self):
-        svg = to_svg(trace((0, 1, 0, 2), 90))
+        svg = to_svg((0, 1, 0, 2), 90)
         assert svg.startswith('<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
         assert 'version="1.1"' in svg
         assert svg.count("<polyline") == 1
@@ -253,8 +261,7 @@ class TestToSvg:
     def test_y_axis_flip(self):
         # A left turn (CCW, +y in math coords) must head up the screen,
         # i.e. toward smaller emitted y.
-        path = trace((1, 0), 90)
-        svg = to_svg(path)
+        svg = to_svg((1, 0), 90)
         pts = svg.split('points="')[1].split('"')[0].split()
         ys = [float(p.split(",")[1]) for p in pts]
         assert ys[2] < ys[1]
@@ -262,10 +269,9 @@ class TestToSvg:
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_emits_one_point_per_vertex(self, terms):
-        path = trace(terms, 90)
-        svg = to_svg(path)
+        svg = to_svg(terms, 90)
         pts = svg.split('points="')[1].split('"')[0].split()
-        assert len(pts) == len(path.vertices)
+        assert len(pts) == len(tuple(trace(terms, 90)))
 
     @pytest.mark.parametrize("vertices", [
         # 0.0 and -0.0, or 1 and 1.0, share whichever text was made first.
@@ -283,8 +289,21 @@ class TestToSvg:
         xs, ys = zip(*vertices)
         min_x, max_y = min(xs), max(ys)
         want = " ".join("%.6f,%.6f" % ((x - min_x) + 8, (max_y - y) + 8) for x, y in vertices)
-        svg = to_svg(PolylinePath(vertices))
+        columns = [(xs, ys)]
+        svg = "".join(render._svg_text(columns, render._bounds(columns), 1.0))
         assert svg.split('points="')[1].split('"')[0] == want
+
+
+    def test_rejects_text_beyond_memory(self, report_physical_memory):
+        # A text figure for each vertex, and not a byte less.  At this size the
+        # text charges more than `write_svg`'s chunk, so it is what refuses.
+        terms = bytes(200_000)
+        need = BYTES_PER["svg text vertex"] * 200_001
+        report_physical_memory(need - 1)
+        with pytest.raises(ValueError, match="the SVG text of 200000 terms would not fit"):
+            to_svg(terms)
+        report_physical_memory(need + os.sysconf("SC_PAGE_SIZE"))
+        assert to_svg(terms).endswith("</svg>\n")
 
 
 class TestWriteSvg:
@@ -302,8 +321,8 @@ class TestWriteSvg:
                                                stroke_width):
         out = io.StringIO()
         write_svg(terms, out, angle, mapping, clockwise, stroke_width=stroke_width)
-        path = trace(terms, angle, mapping, clockwise)
-        assert out.getvalue() == to_svg(path, stroke_width=stroke_width)
+        assert out.getvalue() == to_svg(terms, angle, mapping, clockwise,
+                                        stroke_width=stroke_width)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -325,14 +344,14 @@ class TestWriteSvg:
         out = io.StringIO()
         write_svg(terms, out, angle, mapping, clockwise)
         assert out.getvalue() == want
-        assert to_svg(trace(terms, angle, mapping, clockwise)) == want
+        assert to_svg(terms, angle, mapping, clockwise) == want
 
     def test_spans_point_chunks(self):
         # More vertices than one chunk, as bytes, the form the CLI passes.
         terms = generate_dci(3, 20000).terms
         out = io.StringIO()
         write_svg(terms, out, 120, clockwise=True)
-        assert out.getvalue() == to_svg(trace(terms, 120, clockwise=True))
+        assert out.getvalue() == to_svg(terms, 120, clockwise=True)
 
     @pytest.mark.parametrize("walk,angle,as_bytes,mapping,clockwise", _REPEAT_CASES)
     def test_equals_the_per_vertex_reference_whether_coordinates_repeat(
@@ -342,13 +361,13 @@ class TestWriteSvg:
         out = io.StringIO()
         write_svg(terms, out, angle, mapping, clockwise)
         assert out.getvalue() == want
-        assert to_svg(trace(terms, angle, mapping, clockwise)) == want
+        assert to_svg(terms, angle, mapping, clockwise) == want
 
     @pytest.mark.parametrize("walk", _WALKS)
     @pytest.mark.parametrize("angle", [90, 120])
     def test_formats_each_distinct_coordinate_once_per_chunk(self, walk, angle):
         terms = _walk_terms(walk, True, "ccw-count")
-        vertices = trace(terms, angle).vertices
+        vertices = tuple(trace(terms, angle))
         chunks = [vertices[i : i + CHUNK] for i in range(0, len(vertices), CHUNK)]
         distinct = sum(len({x for x, _ in c}) + len({y for _, y in c}) for c in chunks)
         assert _memo_misses(terms, angle) == distinct
@@ -372,7 +391,7 @@ class TestWriteSvg:
             write_svg((0, 1), out, stroke_width=stroke_width)
         assert out.getvalue() == ""
         with pytest.raises(ValueError, match=match):
-            to_svg(trace((0, 1)), stroke_width=stroke_width)
+            to_svg((0, 1), stroke_width=stroke_width)
 
     @pytest.mark.parametrize("terms,held", [(bytes(1000), "svg byte term"),
                                             ([0] * 1000, "svg list term")], ids=["bytes", "list"])

@@ -20,8 +20,6 @@ from itertools import repeat
 from operator import and_
 from pathlib import Path
 
-OUTDIR_ENV = "DRAGONSIEVE_OUTDIR"
-
 # Desk-scale default, overridable by a flag.
 DEFAULT_RENDER_LIMIT = 10**4
 
@@ -36,15 +34,6 @@ SUITES = {
     "heighway": ({"iterations": 16}, {"iterations": 10}),
     "render": ({"limit": 10**4}, {"limit": 2000}),
 }
-
-
-def _out_path(name: str) -> Path:
-    base = os.environ.get(OUTDIR_ENV)
-    path = Path(name)
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _to_stdout(write, *args) -> int:
@@ -151,7 +140,8 @@ def _cmd_render(args) -> int:
     check_svg(terms, args.angle, mapping, args.stroke_width)  # before the output file exists
     if args.mod is not None:
         terms = reduce_mod(terms, args.mod)
-    out = _out_path(args.output)
+    out = Path(args.output)
+    out.parent.mkdir(parents=True, exist_ok=True)
     fh = out.open("w", encoding="utf-8")
     try:
         with fh:

@@ -2,9 +2,11 @@
 
 The generator in this module never divides: each sequence is a run of
 bytes (every term is a valuation below 64) that grows by copying the run
-plus a single increment per round, and a longer one is streamed, a chunk
-of such copies at a time (`dci_chunks`).  The division-based column oracles
-(`valuations_by_division`, `odd_parts_by_division`,
+plus a single increment per round, and a longer one is streamed
+(`dci_chunks`), each chunk a cut of one template of block 1's repeats with
+its block-final terms set from the stream one level up.  Its divisions are
+CPython's, to find the length of a ``range``.  The division-based column
+oracles (`valuations_by_division`, `odd_parts_by_division`,
 `odd_parts_mod4_by_division` and `primes_by_trial_division`) are the
 independent reference side used to cross-check the division-free
 constructions, one oracle per quantity, so keep the two halves separate.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import and_, floordiv, mod, neg
 from typing import Iterator
 
@@ -74,15 +76,18 @@ def dci_chunks(p: int, m: int) -> Iterator[bytes]:
     within ``m``.  The first m terms of the next round are copies of the
     prefix, so the rest is filled by copying.
 
-    Beyond, let B = p**k be the largest power of p within 2^16, made by
-    those rounds.  Term (j-1)*B + i is term i for i < B, and term j*B is
-    k + v_p(j): each block of B terms is block 1 with its last term
-    changed.  A chunk is block 1 repeated r times, r*B <= 2^16, with its r
-    block-final terms set by one stepped-slice assignment from this stream,
-    one level up, of the len(range(0, m, B)) block numbers, the one division
-    (CPython's).  For p above 2^16, B is p: each block is p-1 zeros and its
-    final term, sent in chunks of 2^16 terms.  ``p`` and ``m`` are checked
-    when this is called, before any term is made.
+    Beyond, block 1 is B = p**k terms, p**k the largest power of p within
+    2^16, made by those rounds, or, for p above 2^16, B = p terms, p-1
+    zeros and a 1 (k = 1).  Term (j-1)*B + i is term i for i < B, and term
+    j*B is k + v_p(j): each block of B terms is block 1 with its last term
+    changed.  Every chunk is a cut of one template: block 1 repeated r
+    times, r*B <= 2^16 < (r+1)*B, or 2^16 zeros when B is above 2^16.  A
+    running offset, B-1 whenever B is within 2^16, gives the chunk's first
+    block-final term, and one stepped-slice assignment sets all of them
+    from this stream, one level up, of the len(range(0, m, B)) block
+    numbers.  The divisions are CPython's, for the length of a ``range``.
+    ``p`` and ``m`` are checked when this is called, before any term is
+    made.
     """
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
@@ -102,40 +107,25 @@ def _dci_chunks(p: int, m: int) -> Iterator[bytes]:
             block += block[: m - len(block)]
         yield bytes(block)
         return
-    left = m  # terms not yet yielded
-    if len(block) == 1:  # p above 2^16: one chunk holds at most one block-final term
-        zeros = bytes(CHUNK_TERMS)
-        finals = chain.from_iterable(
-            tops.translate(PLUS_ONE) for tops in _dci_chunks(p, len(range(0, m, p))))
-        final = p - 1  # the index, from the next chunk's first term, of the next final term
-        while left > 0:
-            if final < min(left, CHUNK_TERMS):
-                chunk = bytearray(zeros[:left])
-                chunk[final] = next(finals)
-                yield bytes(chunk)
-                final += p
-            else:
-                yield zeros[:left]
-            left -= CHUNK_TERMS
-            final -= CHUNK_TERMS
-        return
-    size, k = len(block), block[-1]
+    # Block 1: size = p**k terms from the rounds, or for p above 2^16 p-1 zeros and a 1.
+    size, k = (len(block), block[-1]) if len(block) > 1 else (p, 1)
     plus_k = bytes(range(k, 256)) + b"\xff" * k  # bytes.translate table adding k to a term
-    r = 1
+    r = 0  # repeats of block 1 in a chunk: none when it is longer than a chunk
     while (r + 1) * size <= CHUNK_TERMS:
         r += 1
-    template = bytes(block) * r
+    template = bytes(block) * r or bytes(CHUNK_TERMS)
     del block  # the template holds block 1
-    for tops in _dci_chunks(p, len(range(0, m, size))):
-        tops = tops.translate(plus_k)
-        for i in range(0, len(tops), r):
-            finals = tops[i : i + r]
-            chunk = bytearray(template[: len(finals) * size])
-            chunk[size - 1 :: size] = finals
-            left -= len(chunk)
-            if left < 0:  # the last block, cut at m
-                del chunk[left:]
-            yield bytes(chunk)
+    finals = chain.from_iterable(
+        tops.translate(plus_k) for tops in _dci_chunks(p, len(range(0, m, size))))
+    final = size - 1  # the index, from the next chunk's first term, of the next block-final term
+    left = m  # terms not yet yielded
+    while left > 0:
+        chunk = bytearray(template[:left])
+        count = len(range(final, len(chunk), size))
+        chunk[final::size] = bytes(islice(finals, count))
+        final += size * count - len(chunk)
+        left -= len(chunk)
+        yield bytes(chunk)
 
 
 def valuations_by_division(p: int, n: int) -> bytes:

@@ -115,6 +115,9 @@ CASES = (
          _per("valuation term"), (MILLION, 2 * MILLION)),
     Case("seq", None, lambda n, _: _cli("seq", "--p", 2, "--limit", n),
          lambda n: STREAM_BOUND, (MILLION, 2 * MILLION)),
+    # A base above 2^16, whose blocks are longer than a chunk.
+    Case("seq-65537", None, lambda n, _: _cli("seq", "--p", 65537, "--limit", n),
+         lambda n: STREAM_BOUND, (MILLION, 2 * MILLION)),
     Case("factor", "sieve column", lambda n, _: _cli("factor", 7, "--limit", n),
          _per("sieve column"), (MILLION, 2 * MILLION), runs=5),
     # n = 2**(j+1): a Levy dragon of j iterations has n - 1 terms and is charged for n.

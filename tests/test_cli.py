@@ -230,11 +230,11 @@ class TestRenderCommand:
         assert code == 0
         assert out_file.exists()
 
-    def test_outdir_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRAGONSIEVE_OUTDIR", str(tmp_path))
-        code, _, _ = run(capsys, "render", "--p", "2", "--limit", "16", "-o", "nested/out.svg")
+    def test_makes_the_output_directory(self, capsys, tmp_path):
+        out_file = tmp_path / "nested" / "out.svg"
+        code, _, _ = run(capsys, "render", "--p", "2", "--limit", "16", "-o", str(out_file))
         assert code == 0
-        assert (tmp_path / "nested" / "out.svg").exists()
+        assert out_file.exists()
 
     @pytest.mark.parametrize("line,quoted", [
         (b"2 1 7", "'2 1 7'"),

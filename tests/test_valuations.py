@@ -154,6 +154,26 @@ class TestDciChunks:
         assert joined == valuations_by_division(p, m)
         assert joined == whole_dci(p, m)
 
+    @given(p=st.integers(min_value=2, max_value=70)
+           | st.sampled_from([65521, 65537, 65539, 131071, 1000003]),
+           m=st.integers(min_value=1, max_value=4 * 2**16 + 11))
+    # Seams: streams that end one term past a chunk or on a block-final term.
+    @example(p=2, m=2**16 + 1)
+    @example(p=2, m=3 * 2**16 - 1)
+    @example(p=7, m=3 * 7**5 + 1)
+    @example(p=67, m=67**2 * 14 + 1)
+    @example(p=65521, m=2 * 65521)
+    @example(p=65537, m=65537)
+    @example(p=65537, m=65538)
+    @example(p=131071, m=131071)
+    @example(p=131071, m=2 * 131071)
+    @example(p=1000003, m=4 * 2**16 + 11)
+    @settings(max_examples=100, deadline=None)
+    def test_join_equals_the_oracle_for_any_base(self, p, m):
+        chunks = list(dci_chunks(p, m))
+        assert all(type(chunk) is bytes and 0 < len(chunk) <= 2**16 for chunk in chunks)
+        assert b"".join(chunks) == valuations_by_division(p, m)
+
     def test_generate_dci_is_the_join(self):
         for p, m in [(2, 1), (3, 2**16), (7, 3 * 2**16 + 11), (65537, 2**17 + 5)]:
             assert generate_dci(p, m).terms == b"".join(dci_chunks(p, m))
@@ -164,10 +184,11 @@ class TestDciChunks:
         with pytest.raises(ValueError, match="base must be at least 2|length must be at least 1"):
             dci_chunks(p, m)
 
-    def test_holds_one_chunk_at_a_time(self, traced_peak):
+    @pytest.mark.parametrize("p", [2, 65537])
+    def test_holds_one_chunk_at_a_time(self, traced_peak, p):
         # 10^7 terms, each chunk dropped before the next is made: the stream
-        # holds block 1's repeats, a chunk and the chunk's bytes, not 10 MB.
-        count, _, peak = traced_peak(lambda: sum(map(len, dci_chunks(2, 10**7))))
+        # holds its template, a chunk and the chunk's bytes, not 10 MB.
+        count, _, peak = traced_peak(lambda: sum(map(len, dci_chunks(p, 10**7))))
         assert count == 10**7
         assert peak < 5 * CHUNK_TERMS
 

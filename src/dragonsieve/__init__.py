@@ -21,7 +21,6 @@ _SUBMODULE = {
     "heighway_turns": "dragons",
     "levy_turns": "dragons",
     "parse_b_file": "bfile",
-    "primes_by_trial_division": "valuations",
     "read_factorization": "sieve",
     "reconstruct_odd_part": "fractal",
     "run_sieve": "sieve",

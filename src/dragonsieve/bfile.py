@@ -170,11 +170,11 @@ def parse_b_file(lines: Iterable[bytes]) -> bytes | list[int]:
     """
     lines = iter(lines)
     terms: bytearray | list[int] = bytearray()
-    expected = None
+    expected = 1  # the next term's index
     number = 0
     while isinstance(terms, bytearray) and (
-            block := list(islice(lines, 1 if expected is None else 1000 - expected % 1000))):
-        values = None if expected is None else _canonical_terms(block, expected)
+            block := list(islice(lines, 1000 - expected % 1000 if terms else 1))):
+        values = _canonical_terms(block, expected) if terms else None
         if values is None:
             terms, expected = _parse_lines(block, number, terms, expected)
         else:
@@ -212,7 +212,7 @@ def _canonical_terms(block: list[bytes], start: int) -> bytes | None:
 
 
 def _parse_lines(lines: Iterable[bytes], number: int, terms: bytearray | list[int],
-                 expected: int | None) -> tuple[bytearray | list[int], int | None]:
+                 expected: int) -> tuple[bytearray | list[int], int]:
     """Read ``lines``, which follow line ``number``, onto ``terms``; the terms and next index.
 
     A line is first read as two integers, and only a line that is not is
@@ -230,12 +230,11 @@ def _parse_lines(lines: Iterable[bytes], number: int, terms: bytearray | list[in
             raise ValueError(f"b-file line {number}: expected '<index> <value>' "
                              f"as two integers, got {line!r}") from None
         if idx != expected:
-            if expected is not None:
-                raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
-                                 f"expected {expected}")
-            if idx != 1:  # an OEIS offset such as A014577's 0
+            if not terms:  # an OEIS offset such as A014577's 0
                 raise ValueError(f"b-file line {number}: first index {idx}, expected 1")
-        expected = idx + 1
+            raise ValueError(f"b-file line {number}: non-consecutive index {idx}, "
+                             f"expected {expected}")
+        expected += 1
         try:
             append(val)
         except ValueError:  # outside 0..255: the terms no longer fit bytes

@@ -9,21 +9,22 @@ only when asked (`prime_headers`), in one pass by a `translate` and a
 columns set by stepped slices: ``exp`` (the entry; 0 marks a column no row
 reaches), ``top`` (the largest placed prime, below 2^16) and ``rest`` (k, a
 link to column h/p, read down to 1, or to n's one prime factor above
-sqrt(m), to factor).  A row is placed one window of 2^16 multipliers at a
-time, so that nothing but its terms and the three columns grows with m:
-``exp`` takes a translated slice of the terms, ``top`` a slice of one fill
-of p, and ``rest`` the window's multipliers, one array 0..2^16-1 held by
-the table, whose high 16-bit halves are set to the window's index.  The one
-division is CPython's, to find the length of a stepped slice or ``range``;
-nothing in this module divides.  Full rows are never stored.  The module
-holds no text: `bfile` writes the table.
+sqrt(m), to factor).  The columns are the table's only record of its
+primes: a placed prime p is the one column with ``top[p] == p``.  A row is
+placed one window of 2^16 multipliers at a time, so that nothing but its
+terms and the three columns grows with m: ``exp`` takes a translated slice
+of the terms, ``top`` a slice of one fill of p, and ``rest`` the window's
+multipliers, one array 0..2^16-1 held by the table, whose high 16-bit
+halves are set to the window's index.  The one division is CPython's, to
+find the length of a stepped slice or ``range``; nothing in this module
+divides.  Full rows are never stored.  The module holds no text: `bfile`
+writes the table.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
 from itertools import compress
 from typing import Iterator
 
@@ -57,7 +58,9 @@ class SieveTable:
             raise ValueError(f"table width {m} exceeds the column store's limit {MAX_WIDTH}")
         require_memory(f"a sieve table of width {m}", BYTES_PER["sieve column"] * m)
         self.m = m
-        self._primes = array(_LINK)  # the placed rows' primes
+        # The last placed row's prime, 1 before any.  Column p is its own row's
+        # first multiple, and no larger row reaches it: top[p] == p marks p placed.
+        self._last = 1
         # Where the columns above the last row start, all unreached ones
         # primes; m + 1, listing none, until `run_sieve` has placed every row.
         self._unreached = m + 1
@@ -78,7 +81,8 @@ class SieveTable:
     @property
     def prime_headers(self) -> list[int]:
         """Every prime up to m: the placed rows' primes, then the unreached columns."""
-        return [*self._primes, *self._unreached_primes()]
+        top = self._top
+        return [*(p for p in range(2, self._last + 1) if top[p] == p), *self._unreached_primes()]
 
     def _unreached_primes(self) -> Iterator[int]:
         """The columns from ``_unreached`` on that no row reaches, in one pass."""
@@ -87,12 +91,7 @@ class SieveTable:
 
     def row(self, p: int) -> ValuationSequence:
         """Prime p's full row, generated by DCI; p must be a prime header."""
-        if self._unreached <= p <= self.m:
-            found = self._exp[p] == 0
-        else:
-            i = bisect_left(self._primes, p)
-            found = i < len(self._primes) and self._primes[i] == p
-        if not found:
+        if p < 2 or p > self.m or (self._top[p] != p if p < self._unreached else self._exp[p]):
             raise KeyError(f"no row for {p}")
         return generate_dci(p, self.m)
 
@@ -108,13 +107,13 @@ class SieveTable:
         bytes and copies those into the array through a memoryview cast.
         """
         count = len(range(p, self.m + 1, p))
-        if row.p != p or row.m < count:
+        if row.p != p or not 0 < count <= row.m:  # count is 0 for a row with no column
             raise ValueError("row does not match table")
         if p > _MAX_PRIME:
             raise ValueError(f"row {p} is above {_MAX_PRIME}, the largest prime the store holds")
-        if self._primes and p <= self._primes[-1]:
-            raise ValueError(f"rows are placed in increasing order; {p} follows {self._primes[-1]}")
-        self._primes.append(p)
+        if p <= self._last:
+            raise ValueError(f"rows are placed in increasing order; {p} follows {self._last}")
+        self._last = p
         exp, top, rest, terms = self._exp, self._top, self._rest, row.terms
         window, window_bytes = self._window, self._window_bytes
         width = len(window)

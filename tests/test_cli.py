@@ -14,15 +14,21 @@ import subprocess
 import sys
 from itertools import starmap
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dragonsieve import format_b_file, levy_turns, primes_by_trial_division, sieve, verify
+from dragonsieve import format_b_file, levy_turns, parse_b_file, sieve, verify
 from dragonsieve.cli import SUITES, build_parser, main
 from dragonsieve.limits import BYTES_PER
-from dragonsieve.valuations import valuations_by_division
+from dragonsieve.valuations import (
+    odd_parts_by_division,
+    odd_parts_mod4_by_division,
+    primes_by_trial_division,
+    valuations_by_division,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -137,6 +143,133 @@ class TestFactorCommand:
         assert set(primes_by_trial_division(limit)).issuperset(ps)
         assert all(e >= 1 for _, e in pairs)
         assert math.prod(starmap(pow, pairs)) == n
+
+
+# The physical memory that the contract properties report: 1 MiB.
+PHYSICAL = 2**20
+# Sizes beyond every limit, which a guard refuses before it allocates: 2^17
+# sieve columns, decimated terms or odd parts need more than 1 MiB, and a
+# `seq` of 2^32 terms is longer than the widest sieve table.
+BEYOND = st.integers(min_value=2**32, max_value=2**70)
+HUGE = st.integers(min_value=2**17, max_value=2**31) | BEYOND
+
+
+def run_contract(ok, *argv):
+    """Run `main(argv)` in process, reporting `PHYSICAL` bytes of physical memory; its stdout.
+
+    Asserts the contract: if ``ok``, exit 0 with output on stdout and nothing
+    on stderr, else exit 2 with one ``error:`` line on stderr and nothing on
+    stdout.  Patched inside each example, since Hypothesis refuses
+    function-scoped fixtures such as `report_physical_memory`.
+    """
+    real = os.sysconf
+    pages = PHYSICAL // real("SC_PAGE_SIZE")
+    out, err = io.BytesIO(), io.StringIO()
+    text = io.TextIOWrapper(out, encoding="ascii", write_through=True)
+    with mock.patch.object(os, "sysconf", lambda k: pages if k == "SC_PHYS_PAGES" else real(k)), \
+            contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
+        code = main(list(map(str, argv)))
+    text.detach()
+    out, err = out.getvalue(), err.getvalue()
+    if ok:
+        assert (code, err) == (0, "")
+        assert out
+    else:
+        assert (code, out) == (2, b"")
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    return out
+
+
+class TestCommandContracts:
+    """Each command, in process with generated integer arguments, ends in exit 0 or exit 2."""
+
+    @given(p=st.integers(min_value=-3, max_value=70) | st.sampled_from([65521, 65537, 1000003]),
+           limit=st.integers(min_value=-5, max_value=300)
+           | st.integers(min_value=301, max_value=10**5) | BEYOND)
+    @example(p=2, limit=10**5)
+    @example(p=1000003, limit=1)
+    @example(p=2, limit=2**32)
+    @settings(max_examples=60, deadline=None)
+    def test_seq(self, p, limit):
+        # `seq` streams any length up to 2^32 - 1, so no valid limit above 10^5 is drawn.
+        ok = p >= 2 and 1 <= limit <= 10**5
+        out = run_contract(ok, "seq", "--p", p, "--limit", limit)
+        if ok:
+            assert parse_b_file(io.BytesIO(out)) == valuations_by_division(p, limit)
+
+    @given(limit=st.integers(min_value=-5, max_value=300) | HUGE)
+    @example(limit=1)
+    @example(limit=300)
+    @example(limit=2**17)  # 1.2 MB of columns
+    @settings(max_examples=60, deadline=None)
+    def test_sieve(self, limit):
+        # The TSV has pi(m) * m cells, so no valid limit above 300 is drawn.
+        ok = 1 <= limit <= 300
+        out = run_contract(ok, "sieve", "--limit", limit)
+        if ok:
+            lines = ["\t" + "\t".join(map(str, range(1, limit + 1)))]
+            lines += [f"{p}\t" + "\t".join(map(str, valuations_by_division(p, limit)))
+                      for p in primes_by_trial_division(limit)]
+            assert out.decode("ascii") == "\n".join(lines) + "\n"
+
+    @given(p=st.integers(min_value=-3, max_value=40) | st.just(65537),
+           limit=st.integers(min_value=-5, max_value=2000) | HUGE,
+           levels=st.integers(min_value=-3, max_value=12) | st.just(10**9))
+    @example(p=2, limit=1, levels=1)  # ends in an empty row
+    @example(p=2, limit=1, levels=2)  # decimates the empty row
+    @example(p=2, limit=2**17, levels=0)  # 1.5 MB of rows
+    @settings(max_examples=100, deadline=None)
+    def test_decimate(self, p, limit, levels):
+        ok = p >= 2 and 1 <= limit <= 2000 and levels >= 0
+        if ok:  # a row that is already empty is not decimated again
+            rows = [valuations_by_division(p, limit)]
+            for _ in range(levels):
+                if not rows[-1]:
+                    ok = False
+                    break
+                rows.append(rows[-1][p :: p + 1])
+        out = run_contract(ok, "decimate", "--p", p, "--limit", limit, "--levels", levels)
+        if ok:
+            labels = ["Original"] + (["Decimated"] if levels == 1 else
+                                     [f"Decimated x{level}" for level in range(1, levels + 1)])
+            assert out.decode("ascii").splitlines() == [
+                f"{label}:\t" + ", ".join(map(str, row)) for label, row in zip(labels, rows)]
+
+    @given(iterations=st.integers(min_value=-5, max_value=12)
+           | st.integers(min_value=40, max_value=10**6))
+    @example(iterations=0)
+    @settings(max_examples=40, deadline=None)
+    def test_levy(self, iterations):
+        # Levy turn i is v2(8i), for 2^(j+1) - 1 turns.
+        ok = 0 <= iterations <= 12
+        out = run_contract(ok, "levy", "--iterations", iterations)
+        if ok:
+            n = 2 ** (iterations + 1) - 1
+            assert parse_b_file(io.BytesIO(out)) == valuations_by_division(2, 8 * n)[7::8]
+
+    @given(iterations=st.integers(min_value=-5, max_value=12)
+           | st.integers(min_value=40, max_value=10**6))
+    @example(iterations=0)
+    @example(iterations=1)
+    @settings(max_examples=40, deadline=None)
+    def test_heighway(self, iterations):
+        # Heighway turn n is the odd part of n mod 4, for 2^j - 1 turns.
+        ok = 1 <= iterations <= 12
+        out = run_contract(ok, "heighway", "--iterations", iterations)
+        if ok:
+            n = 2**iterations - 1
+            assert parse_b_file(io.BytesIO(out)) == odd_parts_mod4_by_division(n)
+
+    @given(limit=st.integers(min_value=-5, max_value=2000) | HUGE, mod4=st.booleans())
+    @example(limit=1, mod4=True)
+    @example(limit=2**17, mod4=False)  # 1.3 MB of odd parts
+    @settings(max_examples=60, deadline=None)
+    def test_oddpart(self, limit, mod4):
+        ok = 1 <= limit <= 2000
+        out = run_contract(ok, "oddpart", "--limit", limit, *["--mod4"] * mod4)
+        if ok:
+            want = odd_parts_mod4_by_division(limit) if mod4 else odd_parts_by_division(limit)
+            assert list(parse_b_file(io.BytesIO(out))) == list(want)
 
 
 class TestSequenceCommands:

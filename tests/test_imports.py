@@ -83,7 +83,6 @@ PUBLIC = [
     "heighway_turns",
     "levy_turns",
     "parse_b_file",
-    "primes_by_trial_division",
     "read_factorization",
     "reconstruct_odd_part",
     "run_sieve",
@@ -95,7 +94,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 19
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 18
     assert dragonsieve.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(dragonsieve, name).__module__.startswith("dragonsieve."), name

@@ -9,7 +9,7 @@ from itertools import starmap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dragonsieve import (
@@ -17,13 +17,12 @@ from dragonsieve import (
     generate_dci,
     heighway_turns,
     levy_turns,
-    primes_by_trial_division,
     read_factorization,
     reconstruct_odd_part,
     run_sieve,
 )
 from dragonsieve import bfile, cli, sieve, valuations
-from dragonsieve.valuations import valuations_by_division
+from dragonsieve.valuations import primes_by_trial_division, valuations_by_division
 
 
 def literal_next(rows, m):
@@ -319,6 +318,58 @@ class TestRow:
 
     def test_row_is_full_width(self):
         assert run_sieve(16).row(13).terms == generate_dci(13, 16).terms
+
+    def test_no_row_is_placed_without_a_column(self):
+        # Row 11 reaches no column of width 10, so the table could not record it.
+        table = SieveTable(10)
+        with pytest.raises(ValueError, match="does not match"):
+            table.place_row(11, generate_dci(11, 1))
+        assert table.prime_headers == []
+
+    @staticmethod
+    def rows_given(table):
+        """The p in 0..m + 2 that `row` gives a full row for; every other p raises KeyError."""
+        found = []
+        for p in range(table.m + 3):
+            try:
+                row = table.row(p)
+            except KeyError:
+                continue
+            assert row.terms == generate_dci(p, table.m).terms
+            found.append(p)
+        return found
+
+    @given(m=st.integers(min_value=1, max_value=3000), rows=st.integers(min_value=0, max_value=16),
+           above=st.none() | st.integers())
+    @example(m=1, rows=0, above=0)
+    @example(m=3000, rows=16, above=None)  # every row up to sqrt(m), 53 the last
+    @example(m=3000, rows=16, above=-1)  # and 2999, the largest prime
+    @settings(max_examples=60, deadline=None)
+    def test_hand_built_table_has_exactly_its_placed_rows(self, m, rows, above):
+        # An ascending prefix of the primes up to sqrt(m), then maybe one prime
+        # above it.  The table is unfinished, so it lists no unreached column.
+        primes = primes_by_trial_division(m)
+        below = [p for p in primes if p * p <= m]
+        placed = below[:rows]
+        if above is not None and len(primes) > len(below):
+            placed.append(primes[len(below):][above % (len(primes) - len(below))])
+        table = SieveTable(m)
+        for p in placed:
+            table.place_row(p, generate_dci(p, len(range(p, m + 1, p))))
+        assert table.prime_headers == placed
+        assert self.rows_given(table) == placed
+
+    @given(m=st.integers(min_value=1, max_value=3000))
+    @example(m=2)
+    @example(m=4)
+    @example(m=961)
+    @example(m=3000)
+    @settings(max_examples=40, deadline=None)
+    def test_sieved_table_has_a_row_for_every_prime(self, m):
+        table = run_sieve(m)
+        primes = primes_by_trial_division(m)
+        assert table.prime_headers == primes
+        assert self.rows_given(table) == primes
 
 
 class TestLimits:

@@ -12,7 +12,6 @@ from dragonsieve import (
     generate_dci,
     heighway_turns,
     levy_turns,
-    primes_by_trial_division,
 )
 from dragonsieve.limits import BYTES_PER
 from dragonsieve.valuations import (
@@ -20,6 +19,7 @@ from dragonsieve.valuations import (
     dci_chunks,
     odd_parts_by_division,
     odd_parts_mod4_by_division,
+    primes_by_trial_division,
     valuations_by_division,
 )
 

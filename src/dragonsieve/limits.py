@@ -8,7 +8,7 @@ an upper bound on its command's peak RSS growth per unit it builds.
 import os
 
 BYTES_PER = {
-    "valuation term": 4,  # generate_dci: the terms and its chunks; verify's division column
+    "valuation term": 2,  # generate_dci: the terms and its stream; verify's division column
     "sieve column": 9,  # SieveTable: the store and row 2's DCI terms; not prime_headers
     "dragon term": 10,  # levy_turns, heighway_turns: the last round's buffers and the terms
     "odd-part term": 10,  # reconstruct_odd_part: the array and the first level's odd numbers

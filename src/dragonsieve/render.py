@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import io
 import math
-from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import mod, neg
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .limits import BYTES_PER, require_memory
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 CCW_COUNT = "ccw-count"
 CATEGORICAL_MOD4 = "categorical-mod4"
@@ -138,9 +140,7 @@ def walk(
     ``CHUNK`` of them: one more vertex than terms in all.  The arguments
     are not checked: `trace` and `write_svg` check them first.
     """
-    angle = Fraction(angle)
-    # Smallest r with r * angle a multiple of 360: headings repeat modulo it.
-    order = (360 / angle).numerator
+    order = _order(angle)
 
     turns = islice(terms, len(terms) - 1)  # the last term turns after the last move
     if mapping == CCW_COUNT:
@@ -174,19 +174,30 @@ def walk(
         yield xs, ys
 
 
+def _order(angle: float | int | Fraction) -> int:
+    """The smallest r with r * angle a multiple of 360: headings repeat modulo it."""
+    num, den = angle.as_integer_ratio()
+    return 360 * den // math.gcd(360 * den, num)
+
+
 class _AxisTable(dict):
     """Heading -> one coordinate of its unit vector, computed on first lookup.
 
-    `walk` empties it when it outgrows a chunk: a cleared value is computed
-    again by the same expression, so it is the same float.
+    With the angle the integer ratio ``num / den``, a heading's direction in
+    degrees is ``heading * num`` modulo ``360 * den``, over ``den``: exact
+    integers, then one correctly rounded division, so the float is the one
+    that the fraction ``(heading * angle) % 360`` gives.  `walk` empties it
+    when it outgrows a chunk: a cleared value is computed again by the same
+    expression, so it is the same float.
     """
 
-    def __init__(self, angle: Fraction, axis: Callable[[float], float]) -> None:
+    def __init__(self, angle: float | int | Fraction, axis: Callable[[float], float]) -> None:
         super().__init__()
-        self.angle, self.axis = angle, axis
+        self.num, self.den = angle.as_integer_ratio()
+        self.turn, self.axis = 360 * self.den, axis
 
     def __missing__(self, heading: int) -> float:
-        value = self[heading] = self.axis(math.radians(float((heading * self.angle) % 360)))
+        value = self[heading] = self.axis(math.radians(heading * self.num % self.turn / self.den))
         return value
 
 

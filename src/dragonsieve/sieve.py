@@ -68,15 +68,15 @@ class SieveTable:
         self._top = array(_PRIME, [0]) * (m + 1)
         self._rest = array(_LINK, [0]) * (m + 1)
         # One window of multipliers, 0..2^16-1 or, if p = 2's row is shorter,
-        # 0..K for its K (sized by a range, not m // 2), and the window's bytes,
-        # in which `place_row` sets the high halves.  The low halves are set a
-        # byte plane at a time: an array of a range makes an int per multiplier.
+        # 0..K for its K (sized by a range, not m // 2).  The low halves are set
+        # a byte plane at a time in an image of the window's bytes: an array of
+        # a range makes an int per multiplier.
         width = min(_WINDOW, len(range(2, m + 1, 2)) + 1)
         runs = range(len(range(0, width, 256)))  # runs of 256 multipliers sharing bits 8-15
-        self._window_bytes = bytearray(4 * width)
-        self._window_bytes[_BYTE[0]::4] = (bytes(range(256)) * len(runs))[:width]
-        self._window_bytes[_BYTE[1]::4] = b"".join(bytes((b,)) * 256 for b in runs)[:width]
-        self._window = array(_LINK, self._window_bytes)
+        image = bytearray(4 * width)
+        image[_BYTE[0]::4] = (bytes(range(256)) * len(runs))[:width]
+        image[_BYTE[1]::4] = b"".join(bytes((b,)) * 256 for b in runs)[:width]
+        self._window = array(_LINK, image)
 
     @property
     def prime_headers(self) -> list[int]:
@@ -103,8 +103,10 @@ class SieveTable:
         plus one in ``exp``, p in ``top`` and k in ``rest``, each from a slice
         no longer than a window.  ``rest`` takes the table's one window array,
         whose low halves hold 0..2^16-1; the loop counts j and, when the array
-        holds another window's, writes j into the high halves of the window's
-        bytes and copies those into the array through a memoryview cast.
+        holds another window's, writes j into the high halves of an image of
+        the array's bytes, copies that into the array through a memoryview
+        cast and drops it.  The image is a bytearray: stepped writes through a
+        memoryview of the array are slower.
         """
         count = len(range(p, self.m + 1, p))
         if row.p != p or not 0 < count <= row.m:  # count is 0 for a row with no column
@@ -115,15 +117,17 @@ class SieveTable:
             raise ValueError(f"rows are placed in increasing order; {p} follows {self._last}")
         self._last = p
         exp, top, rest, terms = self._exp, self._top, self._rest, row.terms
-        window, window_bytes = self._window, self._window_bytes
+        window = self._window
         width = len(window)
         fill = array(_PRIME, [p]) * min(width, count)
         k = 1  # the next multiplier to place
         for j, start in enumerate(range(0, count + 1, width)):
             if window[0] != start:
+                image = bytearray(window)
                 for offset, byte in zip(_BYTE[2:], j.to_bytes(2, "little")):
-                    window_bytes[offset::4] = bytes((byte,)) * width
-                memoryview(window).cast("B")[:] = window_bytes
+                    image[offset::4] = bytes((byte,)) * width
+                memoryview(window).cast("B")[:] = image
+                del image
             stop = min(start + width, count + 1)
             exp[k * p : stop * p : p] = terms[k - 1 : stop - 1].translate(PLUS_ONE)
             top[k * p : stop * p : p] = fill[: stop - k]

@@ -15,6 +15,7 @@ The module holds no text: `bfile` writes the terms.
 
 from __future__ import annotations
 
+import io
 import math
 from array import array
 from itertools import chain, islice, repeat
@@ -56,15 +57,23 @@ class ValuationSequence:
 def generate_dci(p: int, m: int) -> ValuationSequence:
     """The valuation sequence for ``p``, ``m`` terms long: the join of `dci_chunks`.
 
-    Checked from 2^16 terms: a shorter sequence needs under 256 KiB, a check
+    Checked from 2^16 terms: a shorter sequence needs under 128 KiB, a check
     on each sieve row added 0.1 s to a 0.6 s sieve of width 10^6, and the
     table's own check covers the rows.  A sequence of one chunk is that
-    chunk, not a copy.
+    chunk, not a copy.  A longer one is written over m zero bytes that a
+    ``BytesIO`` holds as its buffer and hands back as the terms, so the join
+    peaks at one copy of the terms and the stream's template and chunk.
     """
     chunks = dci_chunks(p, m)
     if m >= CHUNK_TERMS:
         require_memory(f"a valuation sequence of {m} terms", BYTES_PER["valuation term"] * m)
-    return ValuationSequence(p, m, b"".join(chunks))
+    if m <= CHUNK_TERMS:
+        (terms,) = chunks
+        return ValuationSequence(p, m, terms)
+    out = io.BytesIO(bytes(m))
+    out.writelines(chunks)
+    out.truncate()  # a stream short of m terms stays short, for the length check
+    return ValuationSequence(p, m, out.getvalue())
 
 
 def dci_chunks(p: int, m: int) -> Iterator[bytes]:
@@ -113,26 +122,31 @@ def _dci_chunks(p: int, m: int) -> Iterator[bytes]:
     r = 0  # repeats of block 1 in a chunk: none when it is longer than a chunk
     while (r + 1) * size <= CHUNK_TERMS:
         r += 1
-    template = bytes(block) * r or bytes(CHUNK_TERMS)
+    chunk = block * r or bytearray(CHUNK_TERMS)  # the template, set in place for each chunk
     del block  # the template holds block 1
     finals = chain.from_iterable(
         tops.translate(plus_k) for tops in _dci_chunks(p, len(range(0, m, size))))
     final = size - 1  # the index, from the next chunk's first term, of the next block-final term
     left = m  # terms not yet yielded
     while left > 0:
-        chunk = bytearray(template[:left])
+        del chunk[left:]  # the last chunk is cut short
         count = len(range(final, len(chunk), size))
         chunk[final::size] = bytes(islice(finals, count))
-        final += size * count - len(chunk)
         left -= len(chunk)
         yield bytes(chunk)
+        # Back to the template's zeros where B is above 2^16; within 2^16 the
+        # block-final terms lie at the same indexes in every chunk, set again.
+        chunk[final::size] = bytes(count)
+        final += size * count - len(chunk)
 
 
-def valuations_by_division(p: int, n: int) -> bytes:
-    """v_p(1), ..., v_p(n) as bytes, by v_p(i) = 1 + v_p(i // p) over the multiples of p.
+def valuations_by_division(p: int, n: int) -> bytearray:
+    """v_p(1), ..., v_p(n) as a bytearray, by v_p(i) = 1 + v_p(i // p) over the multiples of p.
 
     v_p(i) is the largest k with p**k dividing i.  One division per multiple
-    of p, so a column of 10^6 terms is cheap enough to check in full.
+    of p, so a column of 10^6 terms is cheap enough to check in full.  The
+    column is returned as built, not copied to bytes, so it peaks at one
+    byte a term.
     """
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
@@ -142,7 +156,7 @@ def valuations_by_division(p: int, n: int) -> bytes:
     for i in range(p, n + 1, p):
         v[i] = 1 + v[i // p]
     del v[0]  # index 0 held no term; deleting the head does not move the rest
-    return bytes(v)
+    return v
 
 
 def _odd_parts(n: int) -> Iterator[int]:

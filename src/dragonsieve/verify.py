@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from array import array
 from itertools import chain, pairwise, repeat, starmap, zip_longest
 from typing import Callable, Iterable, NamedTuple
 
@@ -113,11 +114,11 @@ def _first_chunk_mismatch(expected: bytes, chunks: Iterable[bytes]) -> Failure |
 
 
 def verify_sieve(limit: int) -> list[CheckReport]:
-    table = run_sieve(limit)
-    expected = primes_by_trial_division(limit)
+    table = run_sieve(limit)  # first, so that its checks refuse a limit before the oracle runs
+    expected = array("I", primes_by_trial_division(limit))
     return [
         _run("sieve-primes-match-trial-division", len(expected),
-             lambda: _first_mismatch(expected, table.prime_headers)),
+             lambda: _first_mismatch(expected, array("I", table.prime_headers))),
         _run("factorization-reconstructs-n", limit - 1,
              lambda: _first_mismatch(
                  range(2, limit + 1),

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from dragonsieve import (
@@ -179,6 +179,30 @@ class TestTrace:
         terms = generate_dci(3, 3000).terms
         vertices = tuple(trace(terms, angle, clockwise=clockwise))
         assert vertices == _unreduced_walk(terms, angle, clockwise)
+
+    @given(
+        angle=st.one_of(
+            st.integers(min_value=1, max_value=180),
+            st.floats(min_value=0, max_value=180, exclude_min=True),
+            st.fractions(min_value=0, max_value=180).filter(lambda a: a > 0)),
+        headings=st.lists(st.integers(min_value=0, max_value=2**40), max_size=8),
+    )
+    @example(angle=90.1, headings=[3, 10**6])
+    @example(angle=47.3, headings=[7, 2**33 + 1])
+    @example(angle=1e-3, headings=[360_000, 10**9 + 7])
+    @example(angle=5e-324, headings=[2**40])
+    @example(angle=Fraction(360, 7), headings=[3, 7, 8])
+    @settings(max_examples=200, deadline=None)
+    def test_order_and_unit_vectors_match_the_fraction_reference(self, angle, headings):
+        # The walk's integer-ratio arithmetic gives the order and every unit
+        # vector that exact fractions give, float for float.
+        unit = Fraction(angle)
+        order = (360 / unit).numerator
+        assert render._order(angle) == order
+        x_of, y_of = render._AxisTable(angle, math.cos), render._AxisTable(angle, math.sin)
+        for h in (0, 1, order - 1, *headings):
+            theta = math.radians(float((h * unit) % 360))
+            assert (x_of[h], y_of[h]) == (math.cos(theta), math.sin(theta))
 
     def test_rejects_unknown_mapping(self):
         with pytest.raises(ValueError, match="unknown mapping 'spin'"):

@@ -389,6 +389,14 @@ class TestLimits:
         assert peak < 10**5
         assert run_sieve(1000).prime_headers[-1] == 997  # 25 KB still fits
 
+    @pytest.mark.parametrize("build", [SieveTable, run_sieve], ids=["unsieved", "sieved"])
+    def test_holds_its_columns_and_one_window(self, build, traced_peak):
+        # 7 bytes a column, the one window array of 2^16 links and its
+        # overallocation: a second image of the window's 256 KiB would not fit.
+        m = 2**17 + 1
+        _, held, _ = traced_peak(lambda: build(m))
+        assert held <= 7 * (m + 1) + 4 * 2**16 + 32 * 1024
+
     def test_rows_are_not_checked_one_by_one(self, monkeypatch):
         # Each memory check reads the physical memory through os.sysconf.  The
         # 12251 rows of width 2^17 make no check of their own but p = 2's, of

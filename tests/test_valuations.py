@@ -110,8 +110,21 @@ class TestGenerateDci:
         report_physical_memory(need + os.sysconf("SC_PAGE_SIZE"))
         assert len(generate_dci(2, 200000).terms) == 200000
 
+    def test_join_holds_the_terms_once(self, traced_peak):
+        # The chunks are written into the buffer that becomes the terms: a list
+        # of them joined at the end peaked at twice the terms.
+        m = 5 * 10**5
+        seq, _, peak = traced_peak(lambda: generate_dci(2, m))
+        assert len(seq.terms) == m and peak < 1.3 * m
+
+    @pytest.mark.parametrize("m", [2**16 - 1, 2**16])
+    def test_one_chunk_is_not_copied(self, m, traced_peak):
+        # The round's bytearray and the chunk made from it; a copy of the chunk would be a third.
+        seq, _, peak = traced_peak(lambda: generate_dci(3, m))
+        assert len(seq.terms) == m and peak < 2.5 * m
+
     def test_lengths_below_2_to_the_16_are_not_checked(self, report_physical_memory):
-        # Under 256 KiB, so the sieve's many short rows skip the check.
+        # Under 128 KiB, so the sieve's many short rows skip the check.
         report_physical_memory(2**13)
         assert len(generate_dci(2, 2**16 - 1).terms) == 2**16 - 1
         with pytest.raises(ValueError, match="physical memory"):
@@ -234,9 +247,16 @@ class TestValuationsByDivision:
     def test_matches_definition_term_by_term(self, p, n):
         # v is the valuation of i when p**v divides i and p**(v+1) does not.
         column = valuations_by_division(p, n)
-        assert type(column) is bytes and len(column) == n
+        assert type(column) is bytearray and len(column) == n
         for i, v in enumerate(column, 1):
             assert i % p**v == 0 != i % p ** (v + 1)
+
+    def test_returns_the_column_it_built(self, traced_peak):
+        # One byte a term: a copy of the column on return would double the peak.
+        # 3 * 10^5 terms keep the traced loop under half a second.
+        n = 3 * 10**5
+        column, _, peak = traced_peak(lambda: valuations_by_division(2, n))
+        assert len(column) == n and peak < 1.1 * n
 
     @pytest.mark.parametrize("p", [1, 0, -2])
     def test_rejects_base_below_2(self, p):
